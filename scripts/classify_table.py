@@ -39,9 +39,9 @@ RELATIONS = [
 
 
 def name_with_q(obj) -> str:
-    if obj.parameter is not None:
-        return f"{obj.name}({obj.parameter})"
-    return obj.name
+    if obj.q is not None:
+        return f"{obj.tag}({obj.q})"
+    return obj.tag
 
 
 def main() -> int:

@@ -34,11 +34,13 @@ from .matrix import (
 from .congruence2 import (
     Canon2Label,
     HSBlock,
+    Label,
     canon2,
     canonical_mat2,
     hs_block,
     kappa,
     literal_label,
+    reciprocal_equivalent,
     stab_membership,
 )
 from .sfcanon import (
@@ -46,12 +48,12 @@ from .sfcanon import (
     CanonicalClass,
     SfWitness,
     canonical_matrix,
-    classes_equivalent,
     literal_class,
     orbit_sample,
     orbit_sample_with_witness,
     scale_normalize,
     sf_canonicalize,
+    sf_compare,
     sf_congruent,
     verify_witness,
 )
@@ -77,11 +79,9 @@ from .algebra import (
     HClass,
     HTriple,
     algebra_of_class,
-    algebras_isomorphic,
     classify,
     classify_h,
     h_class_of,
-    h_classes_isomorphic,
     homogenize,
     iso_check,
     poly_from_sf,

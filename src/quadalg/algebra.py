@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, Optional, Sequence, Tuple, Union
 
+from .congruence2 import Label, reciprocal_equivalent
 from .matrix import (
     DegreeError,
     Mat2,
@@ -43,7 +44,7 @@ from .sfcanon import (
     SfWitness,
     canonical_matrix,
     sf_canonicalize,
-    sf_congruent,
+    sf_compare,
 )
 
 __all__ = [
@@ -56,11 +57,9 @@ __all__ = [
     "HClass",
     "HTriple",
     "algebra_of_class",
-    "algebras_isomorphic",
     "classify",
     "classify_h",
     "h_class_of",
-    "h_classes_isomorphic",
     "homogenize",
     "homogeneous_poly_from_sf",
     "iso_check",
@@ -116,8 +115,6 @@ ALGEBRA_NAMES = (
     "S",
 )
 
-_PARAMETRIC_ALGEBRAS = ("OQ", "WEYL_Q")
-
 _ALGEBRA_OF_TAG: Dict[str, str] = {
     "QPLANE": "OQ",
     "QWEYL": "WEYL_Q",
@@ -133,61 +130,30 @@ _ALGEBRA_OF_TAG: Dict[str, str] = {
 }
 
 
-@dataclass(frozen=True, eq=False)
-class AlgebraClass:
-    """Algebra name with optional parameter; via_v records a VFORM arrival."""
+@dataclass(frozen=True)
+class AlgebraClass(Label):
+    """Algebra name with optional parameter; via_v records a VFORM arrival.
 
-    name: str
-    parameter: Optional[Scalar] = None
+    via_v takes part in ==, but not in reciprocal_equivalent: it records how
+    the class was reached, not which algebra it is.
+    """
+
+    TAGS = ALGEBRA_NAMES
+    PARAMETRIC = ("OQ", "WEYL_Q")
+
     via_v: bool = False
 
     def __post_init__(self):
-        if self.name not in ALGEBRA_NAMES:
-            raise ValueError(f"unknown algebra name {self.name!r}")
-        if (self.name in _PARAMETRIC_ALGEBRAS) != (self.parameter is not None):
-            raise ValueError("parameter is present exactly for OQ/WEYL_Q")
-        if self.parameter is not None:
-            object.__setattr__(self, "parameter", as_scalar(self.parameter))
-            if self.parameter.is_zero():
-                raise ValueError("parameter must be nonzero")
-        if self.via_v and self.name != "U":
+        super().__post_init__()
+        if self.via_v and self.tag != "U":
             raise ValueError("via_v marks only the U family")
 
-    def __eq__(self, other):
-        if not isinstance(other, AlgebraClass):
-            return NotImplemented
-        if self.name != other.name or self.via_v != other.via_v:
-            return False
-        if self.name not in _PARAMETRIC_ALGEBRAS:
-            return True
-        return self.parameter == other.parameter
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
+    # the dataclass decorator would derive a hash from the fields otherwise
     __hash__ = None
-
-    def __str__(self):
-        if self.name in _PARAMETRIC_ALGEBRAS:
-            return f"{self.name}({self.parameter})"
-        return self.name
-
-
-def algebras_isomorphic(a: AlgebraClass, b: AlgebraClass) -> bool:
-    """Name equality with q as the unordered pair {q, 1/q}; via_v is a courtesy flag."""
-    if a.name != b.name:
-        return False
-    if a.name not in _PARAMETRIC_ALGEBRAS:
-        return True
-    return a.parameter == b.parameter or (a.parameter * b.parameter) == 1
 
 
 def algebra_of_class(cls: CanonicalClass) -> AlgebraClass:
-    name = _ALGEBRA_OF_TAG[cls.tag]
-    if cls.q is not None:
-        return AlgebraClass(name, parameter=cls.q)
-    return AlgebraClass(name, via_v=(cls.tag == "VFORM"))
+    return AlgebraClass(_ALGEBRA_OF_TAG[cls.tag], cls.q, via_v=(cls.tag == "VFORM"))
 
 
 def classify(f: NCPoly) -> AlgebraClass:
@@ -246,12 +212,10 @@ def iso_check(f: NCPoly, g: NCPoly) -> Tuple[bool, Evidence]:
     Evidence is a verified affine witness when the defining matrices are
     sf-congruent, or the bridge token when exactly one side lands on VFORM.
     """
-    mf = sf_from_poly(f)
-    mg = sf_from_poly(g)
-    congruent, witness = sf_congruent(mf, mg)
-    if congruent:
+    cls_f, cls_g, witness = sf_compare(sf_from_poly(f), sf_from_poly(g))
+    if witness is not None:
         return True, witness
-    if algebras_isomorphic(classify(f), classify(g)):
+    if reciprocal_equivalent(algebra_of_class(cls_f), algebra_of_class(cls_g)):
         # only a UFORM/VFORM pairing reaches here
         if not verified_uv_bridge():
             raise AssertionError("substitution pair failed its rewriting check")
@@ -296,10 +260,6 @@ class HTriple:
             return NotImplemented
         return self.relation == other.relation
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
     __hash__ = None
 
 
@@ -322,8 +282,6 @@ H_CLASS_NAMES = (
     "H_KX",
 )
 
-_PARAMETRIC_H = ("H_OQ", "H_WEYL")
-
 _H_OF_TAG: Dict[str, str] = {
     "QPLANE": "H_OQ",
     "QWEYL": "H_WEYL",
@@ -339,58 +297,15 @@ _H_OF_TAG: Dict[str, str] = {
 }
 
 
-@dataclass(frozen=True, eq=False)
-class HClass:
+class HClass(Label):
     """Name of a homogenized algebra; eleven names, two carry a parameter."""
 
-    name: str
-    parameter: Optional[Scalar] = None
-
-    def __post_init__(self):
-        if self.name not in H_CLASS_NAMES:
-            raise ValueError(f"unknown homogenized-algebra name {self.name!r}")
-        if (self.name in _PARAMETRIC_H) != (self.parameter is not None):
-            raise ValueError("parameter is present exactly for H_OQ/H_WEYL")
-        if self.parameter is not None:
-            object.__setattr__(self, "parameter", as_scalar(self.parameter))
-            if self.parameter.is_zero():
-                raise ValueError("parameter must be nonzero")
-
-    def __eq__(self, other):
-        if not isinstance(other, HClass):
-            return NotImplemented
-        if self.name != other.name:
-            return False
-        if self.name not in _PARAMETRIC_H:
-            return True
-        return self.parameter == other.parameter
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
-    __hash__ = None
-
-    def __str__(self):
-        if self.name in _PARAMETRIC_H:
-            return f"{self.name}({self.parameter})"
-        return self.name
-
-
-def h_classes_isomorphic(a: HClass, b: HClass) -> bool:
-    """Name equality with q as the unordered pair {q, 1/q}."""
-    if a.name != b.name:
-        return False
-    if a.name not in _PARAMETRIC_H:
-        return True
-    return a.parameter == b.parameter or (a.parameter * b.parameter) == 1
+    TAGS = H_CLASS_NAMES
+    PARAMETRIC = ("H_OQ", "H_WEYL")
 
 
 def h_class_of(cls: CanonicalClass) -> HClass:
-    name = _H_OF_TAG[cls.tag]
-    if cls.q is not None:
-        return HClass(name, parameter=cls.q)
-    return HClass(name)
+    return HClass(_H_OF_TAG[cls.tag], cls.q)
 
 
 def classify_h(t: HTriple) -> HClass:

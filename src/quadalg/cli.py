@@ -55,8 +55,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--digits", type=int, default=0,
                        help="append decimal approximations in text mode")
-        p.add_argument("--seed", type=int, default=None,
-                       help="seed for any randomized step (reports are deterministic)")
         return p
 
     add("classify", "name the algebra presented by a degree-two relation", polys=1)
@@ -188,23 +186,12 @@ def _cmd_congruent(args) -> int:
 
 
 def _cmd_homogenize(args) -> int:
+    """homogenize and classify-h: the same report, classify-h without the relation."""
     doc = homogenize_report(parse_poly(_poly_text(args)))
 
     def lines(d):
-        out = [f"relation: {d['relation']}", f"h_class: {d['h_class']}"]
-        if "q" in d:
-            out.append(f"q: {d['q']}")
-        return out
-
-    _emit(doc, args, lines)
-    return 0
-
-
-def _cmd_classify_h(args) -> int:
-    doc = homogenize_report(parse_poly(_poly_text(args)))
-
-    def lines(d):
-        out = [f"h_class: {d['h_class']}"]
+        out = [f"relation: {d['relation']}"] if args.command == "homogenize" else []
+        out.append(f"h_class: {d['h_class']}")
         if "q" in d:
             out.append(f"q: {d['q']}")
         return out
@@ -284,7 +271,7 @@ _HANDLERS = {
     "canon": _cmd_canon,
     "congruent": _cmd_congruent,
     "homogenize": _cmd_homogenize,
-    "classify-h": _cmd_classify_h,
+    "classify-h": _cmd_homogenize,
     "verify": _cmd_verify,
     "stab": _cmd_stab,
     "qas-iso": _cmd_qas_iso,

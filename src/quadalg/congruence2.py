@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import ClassVar, Optional, Tuple
 
 from .matrix import DegreeError, Mat2
 from .scalar import Scalar, as_scalar, sqrt_extend
@@ -32,45 +32,60 @@ from .scalar import Scalar, as_scalar, sqrt_extend
 HALF = Fraction(1, 2)
 
 
-@dataclass(frozen=True, eq=False)
-class Canon2Label:
-    """Congruence class of a nonzero 2x2 matrix, with parameter for Q."""
+@dataclass(frozen=True)
+class Label:
+    """A class name: a tag, plus a nonzero q exactly when the tag is parametric.
 
-    tag: str  # one of X2, YX, JORDAN, Q
+    Every level of the classification names its classes this way; a subclass
+    fixes the vocabulary by setting TAGS and PARAMETRIC.  Equality is exact
+    (q and 1/q differ, and labels of different subclasses never agree);
+    reciprocal_equivalent identifies q with 1/q.
+    """
+
+    TAGS: ClassVar[Tuple[str, ...]] = ()
+    PARAMETRIC: ClassVar[Tuple[str, ...]] = ()
+
+    tag: str
     q: Optional[Scalar] = None
 
     def __post_init__(self):
-        if self.tag not in ("X2", "YX", "JORDAN", "Q"):
+        if self.tag not in self.TAGS:
             raise ValueError(f"unknown tag {self.tag!r}")
-        if (self.tag == "Q") != (self.q is not None):
-            raise ValueError("parameter q is present exactly for tag Q")
+        if (self.tag in self.PARAMETRIC) != (self.q is not None):
+            raise ValueError(
+                f"parameter q is present exactly for tag {'/'.join(self.PARAMETRIC)}"
+            )
         if self.q is not None:
             object.__setattr__(self, "q", as_scalar(self.q))
             if self.q.is_zero():
                 raise ValueError("q must be nonzero")
 
-    def matrix(self) -> Mat2:
-        return canonical_mat2(self)
-
-    def __eq__(self, other):
-        if not isinstance(other, Canon2Label):
-            return NotImplemented
-        if self.tag != other.tag:
-            return False
-        if self.tag != "Q":
-            return True
-        return self.q == other.q
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
     __hash__ = None
 
     def __str__(self):
-        if self.tag == "Q":
-            return f"Q({self.q})"
-        return self.tag
+        if self.q is None:
+            return self.tag
+        return f"{self.tag}({self.q})"
+
+
+def reciprocal_equivalent(a: Label, b: Label) -> bool:
+    """Label equality with q compared as the unordered pair {q, 1/q}.
+
+    Fields beyond tag and q (such as AlgebraClass.via_v) are ignored.
+    """
+    if type(a) is not type(b) or a.tag != b.tag:
+        return False
+    return a.q is None or a.q == b.q or (a.q * b.q) == 1
+
+
+class Canon2Label(Label):
+    """Congruence class of a nonzero 2x2 matrix, with parameter for Q."""
+
+    TAGS = ("X2", "YX", "JORDAN", "Q")
+    PARAMETRIC = ("Q",)
+
+    def matrix(self) -> Mat2:
+        return canonical_mat2(self)
 
 
 def canonical_mat2(label: Canon2Label) -> Mat2:

@@ -149,10 +149,6 @@ class Mat2:
             (p - q).is_zero() for p, q in zip(self.entries(), other.entries())
         )
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
     __hash__ = None
 
     def __repr__(self):
@@ -236,10 +232,6 @@ class Mat3:
             return NotImplemented
         return (self - other).is_zero()
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
     __hash__ = None
 
     def __repr__(self):
@@ -286,10 +278,6 @@ class StdFormMatrix:
             and (self.const - other.const).is_zero()
         )
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
     __hash__ = None
 
 
@@ -331,10 +319,6 @@ class PAffine:
         return self.linear == other.linear and all(
             (p - q).is_zero() for p, q in zip(self.translation, other.translation)
         )
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
 
     __hash__ = None
 

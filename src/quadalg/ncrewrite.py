@@ -146,10 +146,6 @@ class NCPoly:
             return NotImplemented
         return (self - other).is_zero()
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
     __hash__ = None
 
     def __repr__(self):

@@ -20,7 +20,6 @@ from pathlib import Path
 from typing import Dict, List, Tuple
 
 from .algebra import (
-    ENVV_BRIDGE,
     algebra_of_class,
     classify_h,
     homogenize,
@@ -31,7 +30,7 @@ from .algebra import (
 from .matrix import Mat2, PAffine, StdFormMatrix
 from .ncrewrite import NCPoly, RewriteSystem, system_from_relations
 from .scalar import Scalar, as_scalar, format_scalar, sqrt_extend
-from .sfcanon import SfWitness, sf_canonicalize, sf_congruent
+from .sfcanon import SfWitness, sf_canonicalize
 
 __all__ = [
     "PolySyntaxError",
@@ -348,9 +347,9 @@ def canonicalization_report(m: StdFormMatrix) -> Dict[str, object]:
 def classification_report(f: NCPoly) -> Dict[str, object]:
     cls, canonical, w = sf_canonicalize(sf_from_poly(f))
     a = algebra_of_class(cls)
-    doc: Dict[str, object] = {"algebra": a.name}
-    if a.parameter is not None:
-        doc["q"] = scalar_text(a.parameter)
+    doc: Dict[str, object] = {"algebra": a.tag}
+    if a.q is not None:
+        doc["q"] = scalar_text(a.q)
     doc["via_v"] = a.via_v
     doc["canonical_f"] = format_poly(poly_from_sf(canonical))
     doc["witness"] = witness_document(w)
@@ -358,13 +357,13 @@ def classification_report(f: NCPoly) -> Dict[str, object]:
 
 
 def congruence_report(f: NCPoly, g: NCPoly) -> Dict[str, object]:
-    congruent, w = sf_congruent(sf_from_poly(f), sf_from_poly(g))
     isomorphic, evidence = iso_check(f, g)
+    congruent = isinstance(evidence, SfWitness)
     doc: Dict[str, object] = {"sf_congruent": congruent, "isomorphic": isomorphic}
     if congruent:
-        doc["witness"] = witness_document(w)
+        doc["witness"] = witness_document(evidence)
     elif isomorphic:
-        doc["witness"] = ENVV_BRIDGE
+        doc["witness"] = evidence
     return doc
 
 
@@ -374,10 +373,10 @@ def homogenize_report(f: NCPoly) -> Dict[str, object]:
     doc: Dict[str, object] = {
         "relation": format_poly(t.relation_poly()),
         "matrix": matrix_document(t.relation),
-        "h_class": h.name,
+        "h_class": h.tag,
     }
-    if h.parameter is not None:
-        doc["q"] = scalar_text(h.parameter)
+    if h.q is not None:
+        doc["q"] = scalar_text(h.q)
     return doc
 
 

@@ -551,12 +551,6 @@ class Scalar:
             return NotImplemented
         return (self - other).is_zero()
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        if eq is NotImplemented:
-            return eq
-        return not eq
-
     __hash__ = None
 
     # -- numerics

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
 
-from .congruence2 import Canon2Label, canon2, literal_label
+from .congruence2 import Canon2Label, Label, canon2, literal_label, reciprocal_equivalent
 from .matrix import (
     DegreeError,
     Mat2,
@@ -52,55 +52,15 @@ CANONICAL_TAGS = (
     "UFORM",
 )
 
-_PARAMETRIC = ("QPLANE", "QWEYL")
 
+class CanonicalClass(Label):
+    """Class of a standard-form matrix under standard-form congruence."""
 
-@dataclass(frozen=True, eq=False)
-class CanonicalClass:
-    tag: str
-    q: Optional[Scalar] = None
-
-    def __post_init__(self):
-        if self.tag not in CANONICAL_TAGS:
-            raise ValueError(f"unknown canonical tag {self.tag!r}")
-        if (self.tag in _PARAMETRIC) != (self.q is not None):
-            raise ValueError("parameter q is present exactly for QPLANE/QWEYL")
-        if self.q is not None:
-            object.__setattr__(self, "q", as_scalar(self.q))
-            if self.q.is_zero():
-                raise ValueError("q must be nonzero")
+    TAGS = CANONICAL_TAGS
+    PARAMETRIC = ("QPLANE", "QWEYL")
 
     def matrix(self) -> StdFormMatrix:
         return canonical_matrix(self)
-
-    def __eq__(self, other):
-        if not isinstance(other, CanonicalClass):
-            return NotImplemented
-        if self.tag != other.tag:
-            return False
-        if self.tag not in _PARAMETRIC:
-            return True
-        return self.q == other.q
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
-    __hash__ = None
-
-    def __str__(self):
-        if self.tag in _PARAMETRIC:
-            return f"{self.tag}({self.q})"
-        return self.tag
-
-
-def classes_equivalent(c1: CanonicalClass, c2: CanonicalClass) -> bool:
-    """Class equality with q compared as the unordered pair {q, 1/q}."""
-    if c1.tag != c2.tag:
-        return False
-    if c1.tag not in _PARAMETRIC:
-        return True
-    return c1.q == c2.q or (c1.q * c2.q) == 1
 
 
 _HOM = {
@@ -325,20 +285,29 @@ def sf_canonicalize(
     return cls, canonical, witness
 
 
-def sf_congruent(
+def sf_compare(
     m: StdFormMatrix, n: StdFormMatrix
-) -> Tuple[bool, Optional[SfWitness]]:
-    """Decide equivalence; on success return a verified witness from n to m."""
+) -> Tuple[CanonicalClass, CanonicalClass, Optional[SfWitness]]:
+    """Canonicalize each side once: both classes, and a verified witness from
+    n to m when they are equivalent (None otherwise)."""
     cls_m, _, w_m = sf_canonicalize(m)
     cls_n, _, w_n = sf_canonicalize(n)
-    if not classes_equivalent(cls_m, cls_n):
-        return False, None
+    if not reciprocal_equivalent(cls_m, cls_n):
+        return cls_m, cls_n, None
     pmap = p_compose(w_n.map, p_invert(w_m.map))
     scale = w_n.scale / w_m.scale
     witness = SfWitness(pmap, scale)
     if not verify_witness(m, n, witness):
         raise AssertionError("composed witness failed verification")
-    return True, witness
+    return cls_m, cls_n, witness
+
+
+def sf_congruent(
+    m: StdFormMatrix, n: StdFormMatrix
+) -> Tuple[bool, Optional[SfWitness]]:
+    """Decide equivalence; on success return a verified witness from n to m."""
+    witness = sf_compare(m, n)[2]
+    return witness is not None, witness
 
 
 def _rand_fraction(rng: random.Random) -> Fraction:

@@ -15,14 +15,17 @@ from quadalg.algebra import (
     V_TO_U,
     AlgebraClass,
     HTriple,
-    algebras_isomorphic,
     classify,
     classify_h,
-    h_classes_isomorphic,
     qas_iso,
     sf_from_poly,
 )
-from quadalg.congruence2 import Canon2Label, canonical_mat2, stab_membership
+from quadalg.congruence2 import (
+    Canon2Label,
+    canonical_mat2,
+    reciprocal_equivalent,
+    stab_membership,
+)
 from quadalg.matrix import (
     Mat2,
     Mat3,
@@ -42,7 +45,6 @@ from quadalg.sfcanon import (
     CanonicalClass,
     SfWitness,
     canonical_matrix,
-    classes_equivalent,
     orbit_sample_with_witness,
     sf_canonicalize,
     sf_congruent,
@@ -123,7 +125,7 @@ def test_criterion_2_orbit_soundness():
         mate = apply_congruence(m, p, alpha)
         c1, k1, w1 = sf_canonicalize(m)
         c2, k2, w2 = sf_canonicalize(mate)
-        same = classes_equivalent(c1, c2) and k1 == k2
+        same = reciprocal_equivalent(c1, c2) and k1 == k2
         # witness from mate to m, composed out of the two canonicalization
         # witnesses through the shared canonical matrix
         composed = SfWitness(
@@ -291,18 +293,18 @@ def test_criterion_7_stabilizer_families():
 def test_criterion_8_homogenization_separates_more():
     # downstairs the two enveloping-type relations name the same algebra ...
     u_cls, v_cls = classify(U_RELATION), classify(V_RELATION)
-    ok = u_cls.name == v_cls.name == "U" and algebras_isomorphic(u_cls, v_cls)
+    ok = u_cls.tag == v_cls.tag == "U" and reciprocal_equivalent(u_cls, v_cls)
     ok = ok and not sf_congruent(sf_from_poly(U_RELATION), sf_from_poly(V_RELATION))[0]
     # ... upstairs all eleven representatives get distinct class names
     seen = []
     for cls in all_canonical_classes():
         h = classify_h(HTriple(relation=canonical_matrix(cls)))
-        seen.append(h.name)
+        seen.append(h.tag)
     ok = ok and len(set(seen)) == len(seen) == len(CANONICAL_TAGS)
     h_u = classify_h(HTriple(relation=sf_from_poly(U_RELATION)))
     h_v = classify_h(HTriple(relation=sf_from_poly(V_RELATION)))
-    ok = ok and h_u.name == "H_ENV" and h_v.name == "H_ENVV"
-    ok = ok and not h_classes_isomorphic(h_u, h_v)
+    ok = ok and h_u.tag == "H_ENV" and h_v.tag == "H_ENVV"
+    ok = ok and not reciprocal_equivalent(h_u, h_v)
     report("homogenization separation", ok)
 
 

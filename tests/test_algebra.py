@@ -18,11 +18,9 @@ from quadalg.algebra import (
     HClass,
     HTriple,
     algebra_of_class,
-    algebras_isomorphic,
     classify,
     classify_h,
     h_class_of,
-    h_classes_isomorphic,
     homogeneous_poly_from_sf,
     homogenize,
     iso_check,
@@ -33,7 +31,7 @@ from quadalg.algebra import (
     xy_combination_coefficients,
     xy_linear_combination_check,
 )
-from quadalg.congruence2 import Canon2Label, canonical_mat2
+from quadalg.congruence2 import Canon2Label, canonical_mat2, reciprocal_equivalent
 from quadalg.matrix import DegreeError, Mat2, Mat3, PAffine, matrix_from_coeffs
 from quadalg.ncrewrite import NCPoly, substitute
 from quadalg.scalar import Scalar, as_scalar
@@ -109,7 +107,7 @@ class TestPolyBridge:
 class TestClassify:
     def test_quantum_plane(self):
         a = classify(X * Y - Y * X * 3)
-        assert a == AlgebraClass("OQ", parameter=3)
+        assert a == AlgebraClass("OQ", q=3)
         assert str(a) == "OQ(3)"
 
     def test_polynomial_ring_on_one_generator(self):
@@ -118,13 +116,13 @@ class TestClassify:
     def test_v_relation_names_u_with_flag(self):
         a = classify(Y * X - X * Y + Y * Y + X)
         assert a == AlgebraClass("U", via_v=True)
-        assert a.name == "U" and a.via_v
+        assert a.tag == "U" and a.via_v
 
     def test_full_name_table(self):
         q = Fraction(2)
         rows = [
-            (X * Y - Y * X * q, AlgebraClass("OQ", parameter=q)),
-            (X * Y - Y * X * q - ONE, AlgebraClass("WEYL_Q", parameter=q)),
+            (X * Y - Y * X * q, AlgebraClass("OQ", q=q)),
+            (X * Y - Y * X * q - ONE, AlgebraClass("WEYL_Q", q=q)),
             (Y * X - X * Y + Y * Y, AlgebraClass("JORDAN")),
             (Y * X - X * Y + Y * Y + ONE, AlgebraClass("JORDAN1")),
             (Y * X - X * Y + Y, AlgebraClass("U")),
@@ -138,8 +136,8 @@ class TestClassify:
             assert classify(f) == expected
 
     def test_commutative_plane_is_oq_at_one(self):
-        assert classify(X * Y - Y * X) == AlgebraClass("OQ", parameter=1)
-        assert classify(X * Y - Y * X - ONE) == AlgebraClass("WEYL_Q", parameter=1)
+        assert classify(X * Y - Y * X) == AlgebraClass("OQ", q=1)
+        assert classify(X * Y - Y * X - ONE) == AlgebraClass("WEYL_Q", q=1)
 
     def test_degree_errors_propagate(self):
         with pytest.raises(DegreeError):
@@ -159,22 +157,22 @@ class TestAlgebraClassType:
         with pytest.raises(ValueError):
             AlgebraClass("OQ")  # missing parameter
         with pytest.raises(ValueError):
-            AlgebraClass("JORDAN", parameter=2)
+            AlgebraClass("JORDAN", q=2)
         with pytest.raises(ValueError):
-            AlgebraClass("OQ", parameter=0)
+            AlgebraClass("OQ", q=0)
         with pytest.raises(ValueError):
             AlgebraClass("JORDAN", via_v=True)
 
     def test_isomorphism_uses_unordered_parameter_pair(self):
-        a = AlgebraClass("OQ", parameter=2)
-        b = AlgebraClass("OQ", parameter=Fraction(1, 2))
+        a = AlgebraClass("OQ", q=2)
+        b = AlgebraClass("OQ", q=Fraction(1, 2))
         assert a != b
-        assert algebras_isomorphic(a, b)
-        assert not algebras_isomorphic(a, AlgebraClass("OQ", parameter=3))
-        assert not algebras_isomorphic(a, AlgebraClass("WEYL_Q", parameter=2))
+        assert reciprocal_equivalent(a, b)
+        assert not reciprocal_equivalent(a, AlgebraClass("OQ", q=3))
+        assert not reciprocal_equivalent(a, AlgebraClass("WEYL_Q", q=2))
 
     def test_via_v_is_invisible_to_isomorphism(self):
-        assert algebras_isomorphic(AlgebraClass("U"), AlgebraClass("U", via_v=True))
+        assert reciprocal_equivalent(AlgebraClass("U"), AlgebraClass("U", via_v=True))
 
     def test_name_of_every_canonical_class(self):
         names = {
@@ -192,10 +190,10 @@ class TestAlgebraClassType:
         }
         for cls in all_canonical_classes():
             a = algebra_of_class(cls)
-            assert a.name == names[cls.tag]
+            assert a.tag == names[cls.tag]
             assert a.via_v == (cls.tag == "VFORM")
             if cls.q is not None:
-                assert a.parameter == cls.q
+                assert a.q == cls.q
 
 
 class TestIsoCheck:
@@ -286,11 +284,11 @@ class TestClassifyH:
         assert a == HClass("H_ENV")
         assert b == HClass("H_ENVV")
         assert a != b
-        assert not h_classes_isomorphic(a, b)
+        assert not reciprocal_equivalent(a, b)
 
     def test_weyl_example(self):
         h = classify_h(homogenize(X * Y - Y * X * 2 - ONE * 5))
-        assert h == HClass("H_WEYL", parameter=2)
+        assert h == HClass("H_WEYL", q=2)
 
     def test_single_square(self):
         assert classify_h(homogenize(X * X)) == HClass("H_X2")
@@ -312,24 +310,24 @@ class TestClassifyH:
         seen = set()
         for cls in all_canonical_classes():
             h = classify_h(HTriple(relation=canonical_matrix(cls)))
-            assert h.name == names[cls.tag]
+            assert h.tag == names[cls.tag]
             if cls.q is not None:
-                assert h.parameter == cls.q
-            seen.add(h.name)
+                assert h.q == cls.q
+            seen.add(h.tag)
         assert len(seen) == 11
 
     def test_merged_downstairs_separated_upstairs(self):
         u = Y * X - X * Y + Y
         v = Y * X - X * Y + Y * Y + X
-        assert algebras_isomorphic(classify(u), classify(v))
+        assert reciprocal_equivalent(classify(u), classify(v))
         assert classify_h(homogenize(u)) != classify_h(homogenize(v))
 
     def test_reciprocal_parameter_pairing(self):
         a = classify_h(homogenize(X * Y - Y * X * 3))
         b = classify_h(homogenize(X * Y - Y * X * Fraction(1, 3)))
-        assert a == b == HClass("H_OQ", parameter=3)
-        assert h_classes_isomorphic(
-            HClass("H_OQ", parameter=3), HClass("H_OQ", parameter=Fraction(1, 3))
+        assert a == b == HClass("H_OQ", q=3)
+        assert reciprocal_equivalent(
+            HClass("H_OQ", q=3), HClass("H_OQ", q=Fraction(1, 3))
         )
 
     def test_validation(self):
@@ -338,7 +336,7 @@ class TestClassifyH:
         with pytest.raises(ValueError):
             HClass("H_OQ")
         with pytest.raises(ValueError):
-            HClass("H_JORDAN", parameter=2)
+            HClass("H_JORDAN", q=2)
 
 
 class TestGrading:

@@ -1,0 +1,38 @@
+"""Byte-for-byte CLI and name-table outputs, pinned by saved documents.
+
+`tests/data/cli_golden.json` holds one case per command line: argv, exit
+code, stdout and stderr.  It covers classify, canon, homogenize and
+classify-h in both formats on every relation of `scripts/classify_table.py`
+plus one sqrt(2) relation, congruent on a congruent, a non-isomorphic and
+the UFORM/VFORM bridge pair, and stab with good and bad labels.
+`tests/data/classify_table.txt` is the name table that script prints.
+Both were saved from the code before labels were unified; a refactor that
+changes any byte of them changes an output, not just the code.
+"""
+
+import json
+import runpy
+from pathlib import Path
+
+import pytest
+
+from quadalg.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+DATA = Path(__file__).resolve().parent / "data"
+CASES = json.loads((DATA / "cli_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", CASES, ids=[" ".join(c["argv"]) for c in CASES])
+def test_cli_output_is_unchanged(capsys, case):
+    rc = main(list(case["argv"]))
+    captured = capsys.readouterr()
+    assert rc == case["exit"]
+    assert captured.out == case["stdout"]
+    assert captured.err == case["stderr"]
+
+
+def test_classify_table_is_unchanged(capsys):
+    table = runpy.run_path(str(ROOT / "scripts" / "classify_table.py"), run_name="table")
+    assert table["main"]() == 0
+    assert capsys.readouterr().out == (DATA / "classify_table.txt").read_text()

@@ -1,5 +1,6 @@
 """Text grammar, document round trips, report assembly, shipped fixtures."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -25,7 +26,7 @@ from quadalg.polyio import (
     witness_from_document,
 )
 from quadalg.scalar import Scalar, as_scalar, sqrt_extend
-from quadalg.sfcanon import SfWitness, verify_witness
+from quadalg.sfcanon import SfWitness, sf_canonicalize, verify_witness
 from quadalg.algebra import ENVV_BRIDGE, sf_from_poly
 
 X = NCPoly.variable("x")
@@ -307,6 +308,35 @@ class TestReports:
         assert doc["sf_congruent"] is False
         assert doc["isomorphic"] is False
         assert "witness" not in doc
+
+    @pytest.mark.parametrize(
+        "f, g",
+        [
+            ("xy - 2yx - 1", "2xy - yx - 1"),
+            ("x^2", "yx"),
+            ("yx - xy + y", "yx - xy + y^2 + x"),
+        ],
+        ids=["congruent", "not-isomorphic", "bridge"],
+    )
+    def test_congruence_report_canonicalizes_each_side_once(self, monkeypatch, f, g):
+        f, g = parse_poly(f), parse_poly(g)
+        calls = []
+
+        def counted(m):
+            calls.append(m)
+            return sf_canonicalize(m)
+
+        bound = [
+            mod
+            for name, mod in sorted(sys.modules.items())
+            if name.split(".")[0] == "quadalg"
+            and getattr(mod, "sf_canonicalize", None) is sf_canonicalize
+        ]
+        assert bound
+        for mod in bound:
+            monkeypatch.setattr(mod, "sf_canonicalize", counted)
+        congruence_report(f, g)
+        assert len(calls) == 2
 
     def test_homogenize_report(self):
         doc = homogenize_report(parse_poly("yx - xy + y"))

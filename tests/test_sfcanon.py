@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quadalg.congruence2 import canon2
+from quadalg.congruence2 import canon2, reciprocal_equivalent
 from quadalg.matrix import (
     DegreeError,
     Mat2,
@@ -22,7 +22,6 @@ from quadalg.sfcanon import (
     CanonicalClass,
     SfWitness,
     canonical_matrix,
-    classes_equivalent,
     literal_class,
     orbit_sample,
     orbit_sample_with_witness,
@@ -165,7 +164,7 @@ class TestClassification:
             m = canonical_matrix(cls)
             mate = orbit_sample(m, rng)
             got, canonical, w = sf_canonicalize(mate)
-            assert classes_equivalent(got, cls)
+            assert reciprocal_equivalent(got, cls)
             assert canonical == canonical_matrix(cls)
             assert verify_witness(canonical, mate, w)
 
@@ -235,7 +234,7 @@ class TestOrbitSample:
             out, w = orbit_sample_with_witness(m, rng)
             assert verify_witness(out, m, w)
             cls, canonical, _ = sf_canonicalize(out)
-            assert classes_equivalent(cls, base_cls)
+            assert reciprocal_equivalent(cls, base_cls)
             assert canonical == base_canonical
             ok, _ = sf_congruent(m, out)
             assert ok
@@ -256,7 +255,7 @@ def test_class_function_property(m, seed):
     mate = orbit_sample(m, rng)
     c1, k1, _ = sf_canonicalize(m)
     c2, k2, _ = sf_canonicalize(mate)
-    assert classes_equivalent(c1, c2)
+    assert reciprocal_equivalent(c1, c2)
     assert k1 == k2
 
 
