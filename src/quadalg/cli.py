@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Dict, List, Optional
@@ -279,7 +280,7 @@ _HANDLERS = {
 }
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def _run(argv: Optional[List[str]]) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -289,6 +290,19 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _HANDLERS[args.command](args)
     except (ValueError, ArithmeticError, ScalarError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    try:
+        code = _run(argv)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout.  Point it at devnull so that the flush at
+        # interpreter exit does not raise again, and exit 1 quietly.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
         return 1
 
 

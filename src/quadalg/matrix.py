@@ -11,7 +11,15 @@ linear entries into the top-right column, leaving the shape
 
 Changes of variables that fix the affine structure are pairs (linear part,
 translation) embedded as [[P1, P2], [0, 1]]; they act on defining matrices by
-congruence followed by the standard-form fold.
+congruence followed by the standard-form fold.  For a standard form (H, l, n)
+and the substitution X = P1 X' + t, that action has the closed form
+
+    hom    P1^T H P1
+    lin    P1^T ((H + H^T) t + l)
+    const  t^T H t + t^T l + n
+
+which `apply_congruence` evaluates directly on 2x2 blocks.  The 3x3 product
+through `Mat3` stays as the independent check (`sfcanon.verify_witness`).
 """
 
 from __future__ import annotations
@@ -339,10 +347,14 @@ def p_invert(p: PAffine) -> PAffine:
 
 
 def apply_congruence(m: StdFormMatrix, p: PAffine, scale=1) -> StdFormMatrix:
-    """Standard form of scale * P^T M P."""
-    pm = p.embed()
-    out = sf_map(pm.transpose() * m.embed() * pm)
-    return out.scale(scale)
+    """Standard form of scale * P^T M P, by the closed form (module docstring)."""
+    h, (u, v), n = m.hom, m.lin, m.const
+    p1, t = p.linear, p.translation
+    ht, hst = h.apply(t), h.transpose().apply(t)
+    w = (ht[0] + hst[0] + u, ht[1] + hst[1] + v)
+    const = t[0] * (ht[0] + u) + t[1] * (ht[1] + v) + n
+    p1t = p1.transpose()
+    return StdFormMatrix(p1t * h * p1, p1t.apply(w), const).scale(scale)
 
 
 # --- coefficient vector bridge -------------------------------------------

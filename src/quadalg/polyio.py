@@ -51,6 +51,12 @@ __all__ = [
 ]
 
 
+# Input bounds: deeper nesting or larger powers are refused as syntax errors
+# instead of overflowing the recursive-descent parser or building huge words.
+MAX_NESTING = 100
+MAX_EXPONENT = 1000
+
+
 class PolySyntaxError(ValueError):
     """Malformed expression text; position is the 1-based column."""
 
@@ -98,6 +104,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> Tuple[str, object, int]:
         return self.tokens[self.pos]
@@ -146,17 +153,26 @@ class _Parser:
         if kind == "letters" and value == "sqrt":
             self.advance()
             self.expect("(")
-            inner = self.scalar_expr()
+            inner = self.nested_expr(col)
             self.expect(")")
             return sqrt_extend(inner)
         if kind == "(":
             self.advance()
-            inner = self.scalar_expr()
+            inner = self.nested_expr(col)
             self.expect(")")
             return inner
         if kind == "letters":
             raise PolySyntaxError("variables are not allowed here", col)
         raise PolySyntaxError("expected a number, sqrt(...) or (...)", col)
+
+    def nested_expr(self, col: int) -> Scalar:
+        """The scalar expression inside a parenthesis opened at col."""
+        if self.depth >= MAX_NESTING:
+            raise PolySyntaxError(f"parentheses nest deeper than {MAX_NESTING}", col)
+        self.depth += 1
+        inner = self.scalar_expr()
+        self.depth -= 1
+        return inner
 
     def at_scalar_factor(self) -> bool:
         kind, value, _ = self.peek()
@@ -217,6 +233,8 @@ class _Parser:
                     k_kind, k_value, k_col = self.peek()
                     if k_kind != "number" or k_value < 1:
                         raise PolySyntaxError("exponent must be a positive integer", k_col)
+                    if k_value > MAX_EXPONENT:
+                        raise PolySyntaxError(f"exponent exceeds {MAX_EXPONENT}", k_col)
                     self.advance()
                     word += value[:-1] + value[-1] * k_value
                 else:

@@ -10,7 +10,9 @@ arithmetic decision depends on them.
 
 The representation of a depth-k element is a nested pair ``(a, b)`` standing
 for ``a + b*sqrt(r_k)`` with ``a``, ``b`` at depth k-1 and plain ``Fraction``
-values at depth 0.
+values at depth 0.  Rational data never enters that recursion at full depth:
+a rational operand of +, - or * touches the innermost slot or scales every
+slot, and a rational radicand multiplies as a plain ``Fraction``.
 """
 
 from __future__ import annotations
@@ -21,6 +23,12 @@ from math import isqrt
 from typing import Optional, Union
 
 MAX_TOWER_DEPTH = 4
+
+# Precision cap, in decimal digits, for the refinement loops of the decimal
+# enclosures.  Every loop doubles its working precision until a test is
+# decisive; exact nonzero data always decides well below this cap, so
+# passing it raises ScalarError instead of spinning.
+MAX_ENCLOSURE_DIGITS = 1 << 16
 
 RationalLike = Union[int, Fraction]
 
@@ -63,6 +71,13 @@ def _is_zero(e, depth):
     return _is_zero(e[0], depth - 1) and _is_zero(e[1], depth - 1)
 
 
+def _add_rational(x, fr, depth):
+    """x + fr for a rational fr: only the innermost rational slot changes."""
+    if depth == 0:
+        return x + fr
+    return (_add_rational(x[0], fr, depth - 1), x[1])
+
+
 def _add(x, y, depth):
     if depth == 0:
         return x + y
@@ -79,18 +94,31 @@ def _sub(x, y, depth):
     return _add(x, _neg(y, depth), depth)
 
 
+def _mul_radicand(x, depth, tower):
+    """x times the radicand of tower[depth], with x at that level's depth."""
+    level = tower[depth]
+    if level.rational is not None:
+        return _scale(x, level.rational, depth)
+    return _mul(x, level.radicand, depth, tower)
+
+
 def _mul(x, y, depth, tower):
     if depth == 0:
         return x * y
     a1, b1 = x
     a2, b2 = y
-    r = tower[depth - 1].radicand
     d = depth - 1
     bb = _mul(b1, b2, d, tower)
     return (
-        _add(_mul(a1, a2, d, tower), _mul(bb, r, d, tower), d),
+        _add(_mul(a1, a2, d, tower), _mul_radicand(bb, d, tower), d),
         _add(_mul(a1, b2, d, tower), _mul(b1, a2, d, tower), d),
     )
+
+
+def _norm(a, b, depth, tower):
+    """a^2 - b^2 r: the norm of a + b sqrt(r) to the subfield, r = tower[depth]."""
+    bbr = _mul_radicand(_mul(b, b, depth, tower), depth, tower)
+    return _sub(_mul(a, a, depth, tower), bbr, depth)
 
 
 def _inv(x, depth, tower):
@@ -100,10 +128,7 @@ def _inv(x, depth, tower):
         return 1 / x
     a, b = x
     d = depth - 1
-    r = tower[d].radicand
-    # norm to the subfield: (a + b sqrt r)(a - b sqrt r) = a^2 - b^2 r
-    nrm = _sub(_mul(a, a, d, tower), _mul(_mul(b, b, d, tower), r, d, tower), d)
-    ninv = _inv(nrm, d, tower)
+    ninv = _inv(_norm(a, b, d, tower), d, tower)
     return (_mul(a, ninv, d, tower), _neg(_mul(b, ninv, d, tower), d))
 
 
@@ -191,22 +216,51 @@ class _RootPin:
             self.re, self.im, self.rad, self.digits = re, im, rad, digits
 
 
-class _Level:
-    __slots__ = ("radicand", "pin")
+def _rational_value(e, depth) -> Optional[Fraction]:
+    """The Fraction that e equals, or None when e is irrational."""
+    while depth > 0:
+        e, b = e
+        depth -= 1
+        if not _is_zero(b, depth):
+            return None
+    return e
 
-    def __init__(self, radicand, pin):
+
+class _Level:
+    """One tower level: its radicand (an element one level down), that
+    radicand as a Fraction when it is rational, and the root's branch pin."""
+
+    __slots__ = ("radicand", "rational", "pin")
+
+    def __init__(self, radicand, pin, depth):
         self.radicand = radicand
+        self.rational = _rational_value(radicand, depth)
         self.pin = pin
 
 
+def _more_digits(d):
+    """Double a working precision, refusing to pass MAX_ENCLOSURE_DIGITS."""
+    d *= 2
+    if d > MAX_ENCLOSURE_DIGITS:
+        raise ScalarError(
+            "deciding an enclosure needs more than %d digits" % MAX_ENCLOSURE_DIGITS
+        )
+    return d
+
+
 def _eval_ball(e, depth, tower, digits):
+    """Ball around the value of e; each level's root ball is computed once."""
+    roots = [_root_ball(tower, j, digits) for j in range(depth)]
+    return _elt_ball(e, depth, roots)
+
+
+def _elt_ball(e, depth, roots):
     if depth == 0:
         return _Ball(e, Fraction(0), Fraction(0))
     a, b = e
-    ba = _eval_ball(a, depth - 1, tower, digits)
-    bb = _eval_ball(b, depth - 1, tower, digits)
-    br = _root_ball(tower, depth - 1, digits)
-    return _ball_add(ba, _ball_mul(bb, br))
+    ba = _elt_ball(a, depth - 1, roots)
+    bb = _elt_ball(b, depth - 1, roots)
+    return _ball_add(ba, _ball_mul(bb, roots[depth - 1]))
 
 
 def _root_candidate(tower, idx, digits):
@@ -225,7 +279,7 @@ def _root_candidate(tower, idx, digits):
             if den > 0:
                 delta = (bs.rad + eps) / den
                 return ure, uim, delta
-        d *= 2
+        d = _more_digits(d)
 
 
 def _make_pin(tower, idx) -> _RootPin:
@@ -248,7 +302,7 @@ def _make_pin(tower, idx) -> _RootPin:
                 return _RootPin(ure, uim, delta, d)
             if uim + delta < 0:
                 return _RootPin(-ure, -uim, delta, d)
-        d *= 2
+        d = _more_digits(d)
 
 
 def _root_ball(tower, idx, digits):
@@ -266,7 +320,7 @@ def _root_ball(tower, idx, digits):
             return _Ball(ure, uim, delta)
         # pins are created with radius under a quarter of the root size, so
         # shrinking the candidate alone is enough to separate the branches
-        d *= 2
+        d = _more_digits(d)
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +353,7 @@ def _sqrt_in_tower(x, depth, tower):
             return (_zero(d), w)
         return None
     # any root c + d sqrt(r) forces a^2 - b^2 r to be a square one level down
-    nrm = _sub(_mul(a, a, d, tower), _mul(_mul(b, b, d, tower), r, d, tower), d)
-    m = _sqrt_in_tower(nrm, d, tower)
+    m = _sqrt_in_tower(_norm(a, b, d, tower), d, tower)
     if m is None:
         return None
     for mm in (m, _neg(m, d)):
@@ -363,7 +416,7 @@ def _roots_match(tower_a, elt_a, tower_b, idx_b) -> bool:
         dm = (ba.re + bb.re) ** 2 + (ba.im + bb.im) ** 2
         if (dp <= thresh) != (dm <= thresh):
             return dp <= thresh
-        d *= 2
+        d = _more_digits(d)
 
 
 def _merge_towers(ta, tb):
@@ -387,7 +440,8 @@ def _merge_towers(ta, tb):
                     "merging scalars would exceed the tower depth budget of %d"
                     % MAX_TOWER_DEPTH
                 )
-            grown = result + (_Level(r_hat, _make_pin_for_radicand(result, r_hat)),)
+            pin = _make_pin_for_radicand(result, r_hat)
+            grown = result + (_Level(r_hat, pin, len(result)),)
             new_root = (_zero(len(result)), _const(Fraction(1), len(result)))
             if not _roots_match(grown, new_root, tb, j):
                 new_root = _neg(new_root, len(grown))
@@ -398,7 +452,7 @@ def _merge_towers(ta, tb):
 
 
 def _make_pin_for_radicand(tower_prefix, radicand):
-    probe = tower_prefix + (_Level(radicand, None),)
+    probe = tower_prefix + (_Level(radicand, None, len(tower_prefix)),)
     return _make_pin(probe, len(tower_prefix))
 
 
@@ -491,9 +545,25 @@ class Scalar:
         eb = _transplant(other._elt, len(tb), maps, tower)
         return tower, ea, eb
 
+    # A rational (depth-0) operand never joins a tower: it touches only the
+    # innermost rational slot of a sum and scales every slot of a product.
+
+    def _plus_rational(self, fr):
+        return Scalar(self._tower, _add_rational(self._elt, fr, len(self._tower)))
+
+    def _times_rational(self, fr):
+        if not fr:
+            return Scalar.zero()
+        return Scalar(self._tower, _scale(self._elt, fr, len(self._tower)))
+
     def __add__(self, other):
         if not isinstance(other, (Scalar, int, Fraction)):
             return NotImplemented
+        other = as_scalar(other)
+        if not other._tower:
+            return self._plus_rational(other._elt)
+        if not self._tower:
+            return other._plus_rational(self._elt)
         tower, a, b = self._with_common(other)
         return Scalar(tower, _add(a, b, len(tower)))
 
@@ -505,6 +575,11 @@ class Scalar:
     def __sub__(self, other):
         if not isinstance(other, (Scalar, int, Fraction)):
             return NotImplemented
+        other = as_scalar(other)
+        if not other._tower:
+            return self._plus_rational(-other._elt)
+        if not self._tower:
+            return (-other)._plus_rational(self._elt)
         tower, a, b = self._with_common(other)
         return Scalar(tower, _sub(a, b, len(tower)))
 
@@ -514,6 +589,11 @@ class Scalar:
     def __mul__(self, other):
         if not isinstance(other, (Scalar, int, Fraction)):
             return NotImplemented
+        other = as_scalar(other)
+        if not other._tower:
+            return self._times_rational(other._elt)
+        if not self._tower:
+            return other._times_rational(self._elt)
         tower, a, b = self._with_common(other)
         return Scalar(tower, _mul(a, b, len(tower), tower))
 
@@ -570,7 +650,7 @@ class Scalar:
                     ball.im - ball.rad,
                     ball.im + ball.rad,
                 )
-            d *= 2
+            d = _more_digits(d)
 
     def approx_complex(self, digits: int = 20) -> complex:
         enc = self.approx(digits)
@@ -622,7 +702,7 @@ def _canonical_sign(s: Scalar) -> int:
             return 1
         if ball.im + ball.rad < 0:
             return -1
-        d *= 2
+        d = _more_digits(d)
 
 
 def sqrt_extend(s: Scalar) -> Scalar:
@@ -649,7 +729,7 @@ def sqrt_extend(s: Scalar) -> Scalar:
             % (s, depth + 1, MAX_TOWER_DEPTH)
         )
     pin = _make_pin_for_radicand(tower, s._elt)
-    grown = tower + (_Level(s._elt, pin),)
+    grown = tower + (_Level(s._elt, pin, depth),)
     return Scalar(grown, (_zero(depth), _const(Fraction(1), depth)))
 
 

@@ -35,6 +35,7 @@ from .matrix import (
     apply_congruence,
     p_compose,
     p_invert,
+    sf_map,
 )
 from .scalar import Scalar, as_scalar, sqrt_extend
 
@@ -115,8 +116,12 @@ class SfWitness:
 
 
 def verify_witness(m: StdFormMatrix, n: StdFormMatrix, w: SfWitness) -> bool:
-    """True iff m = scale * fold(map^T n map), entrywise exact."""
-    return apply_congruence(n, w.map, w.scale) == m
+    """True iff m = scale * fold(map^T n map), entrywise exact.
+
+    The check multiplies the embedded 3x3 matrices itself, so it shares no
+    code with the closed form in `apply_congruence` that it checks."""
+    pm = w.map.embed()
+    return sf_map(pm.transpose() * n.embed() * pm).scale(w.scale) == m
 
 
 def scale_normalize(m: StdFormMatrix, gamma) -> StdFormMatrix:

@@ -1,6 +1,10 @@
 """End-to-end command dispatch: exit codes, text lines, machine documents."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -244,3 +248,27 @@ class TestErrorsAndPlumbing:
         rc1, out1, _ = run(capsys, *argv)
         rc2, out2, _ = run(capsys, *argv)
         assert (rc1, out1) == (rc2, out2)
+
+    def test_deep_nesting_is_domain_error(self, capsys):
+        deep = "(" * 2000 + "1" + ")" * 2000 + "*xy - yx"
+        rc, out, err = run(capsys, "classify", deep)
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error: parentheses nest deeper")
+
+    def test_closed_stdout_exits_quietly(self):
+        # the read end is closed before the child starts, so its first
+        # write to stdout fails with a broken pipe
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        argv = [sys.executable, "-m", "quadalg", "canon",
+                "sqrt(2)*xy - yx + y^2 + x", "--format", "json"]
+        try:
+            proc = subprocess.run(argv, stdout=write_end, stderr=subprocess.PIPE,
+                                  env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr == b""

@@ -1,0 +1,201 @@
+"""Fast paths pinned to the generic code they replace.
+
+Scalars are drawn at tower depth 0-2 from combinations of sqrt(2), sqrt(3)
+and sqrt(-1).  A rational operand of +, - and * must give the same tower and
+the same element as lifting it and running the generic arithmetic; a level
+with a rational radicand must multiply like one without that shortcut; the
+closed-form congruence must equal the 3x3 product it replaces; and the
+witness checker must not depend on the closed form at all.
+"""
+
+import copy
+import operator
+import random
+from contextlib import contextmanager
+from fractions import Fraction
+from unittest import mock
+
+from hypothesis import assume, given, settings, strategies as st
+
+import quadalg.matrix as matrix
+import quadalg.sfcanon as sfcanon
+from quadalg.matrix import (
+    Mat2,
+    PAffine,
+    StdFormMatrix,
+    apply_congruence,
+    sf_map,
+)
+from quadalg.scalar import Scalar, _add, _inv, _mul, _sub, as_scalar, sqrt_extend
+from quadalg.sfcanon import (
+    SfWitness,
+    orbit_sample_with_witness,
+    sf_canonicalize,
+    verify_witness,
+)
+
+ROOTS = (sqrt_extend(2), sqrt_extend(3), sqrt_extend(-1))
+small = st.builds(
+    Fraction, st.integers(min_value=-4, max_value=4), st.integers(min_value=1, max_value=3)
+)
+coefficients = st.tuples(small, small, small, small)
+nonzero_coefficients = coefficients.filter(any)
+
+
+def basis(r, s):
+    """r, s and r s over the one tower Q(r)(s), so sums of them never merge."""
+    rs = r * s
+    return r, rs * r.inverse(), rs
+
+
+BASES = [basis(r, s) for r in ROOTS for s in ROOTS if r is not s]
+bases = st.sampled_from(BASES)
+
+
+def combine(base, coeffs):
+    """c0 + c1 r + c2 s + c3 r s: a scalar at depth 0-2."""
+    r, s, rs = base
+    c0, c1, c2, c3 = coeffs
+    return c0 + c1 * r + c2 * s + c3 * rs
+
+
+tower_scalars = st.builds(combine, bases, coefficients)
+
+rationals = st.one_of(
+    st.integers(min_value=-5, max_value=5),
+    small,
+    small.map(as_scalar),
+)
+
+GENERIC = {
+    operator.add: lambda x, y, depth, tower: _add(x, y, depth),
+    operator.sub: lambda x, y, depth, tower: _sub(x, y, depth),
+    operator.mul: _mul,
+}
+
+
+def generic(op, a, b):
+    """Lift both operands to a common tower, then run the generic kernel."""
+    a = as_scalar(a)
+    tower, x, y = a._with_common(as_scalar(b))
+    return Scalar(tower, GENERIC[op](x, y, len(tower), tower))
+
+
+def same_representation(s, t):
+    return (
+        len(s._tower) == len(t._tower)
+        and all(p is q for p, q in zip(s._tower, t._tower))
+        and s._elt == t._elt
+    )
+
+
+@settings(max_examples=60)
+@given(tower_scalars, rationals, st.sampled_from(list(GENERIC)))
+def test_rational_operand_matches_generic(a, q, op):
+    for left, right in ((a, q), (q, a)):
+        fast = op(left, right)
+        slow = generic(op, left, right)
+        assert fast == slow
+        assert same_representation(fast, slow)
+
+
+def without_rational_radicands(tower):
+    levels = []
+    for level in tower:
+        level = copy.copy(level)
+        level.rational = None
+        levels.append(level)
+    return tuple(levels)
+
+
+@settings(max_examples=40)
+@given(tower_scalars, tower_scalars)
+def test_rational_radicand_matches_generic(a, b):
+    tower, x, y = a._with_common(b)
+    depth = len(tower)
+    plain = without_rational_radicands(tower)
+    assert all(level.rational is not None for level in tower)
+    assert _mul(x, y, depth, tower) == _mul(x, y, depth, plain)
+    if not b.is_zero():
+        assert _inv(y, depth, tower) == _inv(y, depth, plain)
+
+
+def test_level_records_rational_radicands():
+    merged = ROOTS[0] + ROOTS[1]
+    assert [level.rational for level in merged._tower] == [2, 3]
+    nested = sqrt_extend(1 + ROOTS[0])
+    assert [level.rational for level in nested._tower] == [2, None]
+
+
+# A matrix example draws all its entries over one tower, so that its
+# products stay at depth 2 instead of merging towers up to depth 3.
+
+
+@st.composite
+def congruence_cases(draw):
+    """(M, P, alpha) with entries over one tower; P1 invertible."""
+    base = draw(bases)
+    e = [combine(base, draw(coefficients)) for _ in range(7)]
+    m = StdFormMatrix(Mat2(*e[:4]), (e[4], e[5]), e[6])
+    while True:
+        linear = Mat2(*(combine(base, draw(coefficients)) for _ in range(4)))
+        if not linear.det().is_zero():
+            break
+    p = PAffine(linear, (combine(base, draw(coefficients)), combine(base, draw(coefficients))))
+    return m, p, combine(base, draw(nonzero_coefficients))
+
+
+def mat3_fold(m, p, alpha):
+    pm = p.embed()
+    return sf_map(pm.transpose() * m.embed() * pm).scale(alpha)
+
+
+@settings(max_examples=30)
+@given(congruence_cases())
+def test_closed_form_matches_mat3_fold(case):
+    m, p, alpha = case
+    assert apply_congruence(m, p, alpha) == mat3_fold(m, p, alpha)
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("the witness checker called apply_congruence")
+
+
+@contextmanager
+def closed_form_refused():
+    """Make apply_congruence raise under every name it is imported by."""
+    with mock.patch.object(matrix, "apply_congruence", refuse), mock.patch.object(
+        sfcanon, "apply_congruence", refuse
+    ):
+        yield
+
+
+@settings(max_examples=25)
+@given(congruence_cases())
+def test_checker_is_independent_of_closed_form(case):
+    m, p, alpha = case
+    assume(not m.hom.is_zero())
+    target = apply_congruence(m, p, alpha)
+    with closed_form_refused():
+        assert verify_witness(target, m, SfWitness(p, alpha))
+        assert not verify_witness(target, m, SfWitness(p, alpha * 2))
+        assert not verify_witness(target, m, SfWitness(p, -alpha))
+
+
+def test_checker_accepts_canonicalization_witnesses_without_closed_form():
+    rng = random.Random(4)
+    cases = []
+    for hom, lin, const in (
+        (Mat2(1, 2, 3, 4), (1, 0), 5),
+        (Mat2(0, -1, ROOTS[0], 0), (0, 0), 1),
+        (Mat2(ROOTS[1], 1, 0, 0), (ROOTS[2], 0), 0),
+    ):
+        m = StdFormMatrix(hom, lin, const)
+        sample, w = orbit_sample_with_witness(m, rng)
+        _, canonical, cw = sf_canonicalize(sample)
+        cases.append((sample, m, w))
+        cases.append((canonical, sample, cw))
+    with closed_form_refused():
+        for target, source, w in cases:
+            assert verify_witness(target, source, w)
+            assert not verify_witness(target, source, SfWitness(w.map, w.scale * 3))

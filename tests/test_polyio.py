@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from quadalg.matrix import Mat2, PAffine, StdFormMatrix, matrix_from_coeffs
 from quadalg.ncrewrite import NCPoly, confluence_smoke, reduce as nc_reduce
 from quadalg.polyio import (
+    MAX_EXPONENT,
+    MAX_NESTING,
     PolySyntaxError,
     available_systems,
     canonicalization_report,
@@ -124,6 +126,25 @@ class TestParseErrors:
     def test_error_message_carries_column(self):
         with pytest.raises(PolySyntaxError, match=r"column 5"):
             parse_poly("x + @")
+
+    def test_nesting_cap(self):
+        deep = "(" * 2000 + "1" + ")" * 2000 + "*xy"
+        with pytest.raises(PolySyntaxError, match="nest deeper") as exc:
+            parse_poly(deep)
+        assert exc.value.position == MAX_NESTING + 1
+        with pytest.raises(PolySyntaxError) as exc:
+            parse_poly("sqrt(" * (MAX_NESTING + 1) + "2" + ")" * (MAX_NESTING + 1))
+        assert exc.value.position == 5 * MAX_NESTING + 1
+
+    def test_nesting_at_the_cap_parses(self):
+        text = "(" * MAX_NESTING + "2" + ")" * MAX_NESTING + "*xy"
+        assert parse_poly(text) == parse_poly("2*xy")
+
+    def test_exponent_cap(self):
+        with pytest.raises(PolySyntaxError, match="exponent exceeds") as exc:
+            parse_poly("y + x^100000000")
+        assert exc.value.position == 7
+        assert list(parse_poly(f"x^{MAX_EXPONENT}").words()) == ["x" * MAX_EXPONENT]
 
 
 class TestParseScalar:

@@ -1,13 +1,16 @@
 """Exact scalar arithmetic: field laws, square roots, enclosures."""
 
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import quadalg.scalar as scalar_module
 from quadalg.scalar import (
     MAX_TOWER_DEPTH,
     Scalar,
+    ScalarError,
     TowerDepthError,
     approx,
     as_scalar,
@@ -183,6 +186,17 @@ class TestEnclosures:
         s = r2 * r3 - sqrt_extend(frac(6)) + Fraction(1, 10 ** 30)
         assert not s.is_zero()
         assert not s.approx(100).contains_zero()
+
+    def test_refinement_stops_at_the_precision_cap(self, monkeypatch):
+        # sqrt(2) minus its 100-digit floor is about 1e-100: telling its sign
+        # takes more digits than the first enclosures carry
+        floor = Fraction(isqrt(2 * 10 ** 200), 10 ** 100)
+        s = sqrt_extend(frac(2)) - floor
+        square = s * s
+        assert sqrt_extend(square) == s
+        monkeypatch.setattr(scalar_module, "MAX_ENCLOSURE_DIGITS", 32)
+        with pytest.raises(ScalarError, match="more than 32 digits"):
+            sqrt_extend(square)
 
     def test_zero_never_escapes_enclosure(self):
         r2 = sqrt_extend(frac(2))
