@@ -14,10 +14,9 @@ try:
 except ImportError:
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from quadalg.algebra import classify, classify_h, homogenize, sf_from_poly
+from quadalg.algebra import classify, classify_h, homogenize, poly_from_sf, sf_from_poly
 from quadalg.polyio import format_poly, parse_poly
 from quadalg.sfcanon import sf_canonicalize
-from quadalg.algebra import poly_from_sf
 
 RELATIONS = [
     "xy - 2yx",
@@ -38,12 +37,6 @@ RELATIONS = [
 ]
 
 
-def name_with_q(obj) -> str:
-    if obj.q is not None:
-        return f"{obj.tag}({obj.q})"
-    return obj.tag
-
-
 def main() -> int:
     rows = []
     for text in RELATIONS:
@@ -51,8 +44,8 @@ def main() -> int:
         a = classify(f)
         h = classify_h(homogenize(f))
         _, canonical, _ = sf_canonicalize(sf_from_poly(f))
-        algebra = name_with_q(a) + (" [via v]" if a.via_v else "")
-        rows.append((text, algebra, name_with_q(h), format_poly(poly_from_sf(canonical))))
+        algebra = str(a) + (" [via v]" if a.via_v else "")
+        rows.append((text, algebra, str(h), format_poly(poly_from_sf(canonical))))
 
     widths = [max(len(r[i]) for r in rows) for i in range(4)]
     header = ("relation", "algebra", "homogenization", "canonical relation")

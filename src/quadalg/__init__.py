@@ -51,7 +51,7 @@ from .sfcanon import (
     literal_class,
     orbit_sample,
     orbit_sample_with_witness,
-    scale_normalize,
+    scaling,
     sf_canonicalize,
     sf_compare,
     sf_congruent,

@@ -18,7 +18,7 @@ in particular UFORM and VFORM no longer merge.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Optional, Sequence, Tuple, Union
 
@@ -102,32 +102,23 @@ def homogeneous_poly_from_sf(m: StdFormMatrix) -> NCPoly:
 
 # --- algebra names ---------------------------------------------------------
 
-ALGEBRA_NAMES = (
-    "OQ",
-    "WEYL_Q",
-    "JORDAN",
-    "JORDAN1",
-    "U",
-    "KX",
-    "RX2",
-    "RX2M1",
-    "RYX",
-    "S",
-)
-
-_ALGEBRA_OF_TAG: Dict[str, str] = {
-    "QPLANE": "OQ",
-    "QWEYL": "WEYL_Q",
-    "JORDAN": "JORDAN",
-    "JORDAN1": "JORDAN1",
-    "UFORM": "U",
-    "VFORM": "U",
-    "KX": "KX",
-    "X2": "RX2",
-    "X2_MINUS1": "RX2M1",
-    "YX": "RYX",
-    "S": "S",
+# canonical class tag -> (algebra name, homogenized-algebra name)
+_NAMES: Dict[str, Tuple[str, str]] = {
+    "QPLANE": ("OQ", "H_OQ"),
+    "QWEYL": ("WEYL_Q", "H_WEYL"),
+    "JORDAN": ("JORDAN", "H_JORDAN"),
+    "JORDAN1": ("JORDAN1", "H_SJORDAN"),
+    "UFORM": ("U", "H_ENV"),
+    "VFORM": ("U", "H_ENVV"),
+    "X2": ("RX2", "H_X2"),
+    "X2_MINUS1": ("RX2M1", "H_SX2"),
+    "YX": ("RYX", "H_YX"),
+    "S": ("S", "H_OS"),
+    "KX": ("KX", "H_KX"),
 }
+
+ALGEBRA_NAMES = tuple(dict.fromkeys(a for a, _ in _NAMES.values()))
+H_CLASS_NAMES = tuple(h for _, h in _NAMES.values())
 
 
 @dataclass(frozen=True)
@@ -139,7 +130,7 @@ class AlgebraClass(Label):
     """
 
     TAGS = ALGEBRA_NAMES
-    PARAMETRIC = ("OQ", "WEYL_Q")
+    PARAMETRIC = tuple(_NAMES[t][0] for t in CanonicalClass.PARAMETRIC)
 
     via_v: bool = False
 
@@ -153,7 +144,7 @@ class AlgebraClass(Label):
 
 
 def algebra_of_class(cls: CanonicalClass) -> AlgebraClass:
-    return AlgebraClass(_ALGEBRA_OF_TAG[cls.tag], cls.q, via_v=(cls.tag == "VFORM"))
+    return AlgebraClass(_NAMES[cls.tag][0], cls.q, via_v=(cls.tag == "VFORM"))
 
 
 def classify(f: NCPoly) -> AlgebraClass:
@@ -229,23 +220,16 @@ X_COMMUTATION = Mat3(((0, 0, 1), (0, 0, 0), (-1, 0, 0)))
 Y_COMMUTATION = Mat3(((0, 0, 0), (0, 0, 1), (0, -1, 0)))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class HTriple:
-    """Three-generator presentation: two fixed commutation forms plus a relation.
-
-    The commutation forms express xz - zx and yz - zy; the relation matrix is
-    read with z in the affine slots, so it is homogeneous by construction.
+    """Three-generator presentation: the relation, read with z in the affine
+    slots (so it is homogeneous by construction), beside the two fixed
+    commutation forms X_COMMUTATION and Y_COMMUTATION.
     """
 
     relation: StdFormMatrix
-    # Mat3 is immutable but unhashable, which dataclasses refuse as a plain
-    # default (Python 3.11+); the factories hand out the shared constants.
-    x_commutation: Mat3 = field(default_factory=lambda: X_COMMUTATION)
-    y_commutation: Mat3 = field(default_factory=lambda: Y_COMMUTATION)
 
     def __post_init__(self):
-        if self.x_commutation != X_COMMUTATION or self.y_commutation != Y_COMMUTATION:
-            raise ValueError("the commutation forms are fixed")
         if self.relation.hom.is_zero():
             raise ValueError("the quadratic block of the relation must be nonzero")
 
@@ -255,11 +239,7 @@ class HTriple:
     def dehomogenized(self) -> NCPoly:
         return poly_from_sf(self.relation)
 
-    def __eq__(self, other):
-        if not isinstance(other, HTriple):
-            return NotImplemented
-        return self.relation == other.relation
-
+    # the dataclass decorator would derive a hash from the fields otherwise
     __hash__ = None
 
 
@@ -268,44 +248,15 @@ def homogenize(f: NCPoly) -> HTriple:
     return HTriple(relation=sf_from_poly(f))
 
 
-H_CLASS_NAMES = (
-    "H_OQ",
-    "H_WEYL",
-    "H_JORDAN",
-    "H_SJORDAN",
-    "H_ENV",
-    "H_ENVV",
-    "H_X2",
-    "H_SX2",
-    "H_YX",
-    "H_OS",
-    "H_KX",
-)
-
-_H_OF_TAG: Dict[str, str] = {
-    "QPLANE": "H_OQ",
-    "QWEYL": "H_WEYL",
-    "JORDAN": "H_JORDAN",
-    "JORDAN1": "H_SJORDAN",
-    "UFORM": "H_ENV",
-    "VFORM": "H_ENVV",
-    "X2": "H_X2",
-    "X2_MINUS1": "H_SX2",
-    "YX": "H_YX",
-    "S": "H_OS",
-    "KX": "H_KX",
-}
-
-
 class HClass(Label):
     """Name of a homogenized algebra; eleven names, two carry a parameter."""
 
     TAGS = H_CLASS_NAMES
-    PARAMETRIC = ("H_OQ", "H_WEYL")
+    PARAMETRIC = tuple(_NAMES[t][1] for t in CanonicalClass.PARAMETRIC)
 
 
 def h_class_of(cls: CanonicalClass) -> HClass:
-    return HClass(_H_OF_TAG[cls.tag], cls.q)
+    return HClass(_NAMES[cls.tag][1], cls.q)
 
 
 def classify_h(t: HTriple) -> HClass:

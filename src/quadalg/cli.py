@@ -107,77 +107,45 @@ def _emit(doc: Dict[str, object], args, text_lines) -> None:
             print(line)
 
 
-def _approx_line(name: str, text: str, digits: int) -> Optional[str]:
-    if digits <= 0:
-        return None
-    value = parse_scalar(text)
-    if value.tower_depth == 0:
-        return None
-    return f"{name} approx: {enclosure_decimal(approx(value, digits), digits)}"
+def _report_lines(doc: Dict[str, object], digits: int) -> List[str]:
+    """One `key: value` line per entry of a report document.
 
-
-def _witness_lines(doc: Dict[str, object], digits: int) -> List[str]:
-    out = [
-        f"witness P1: {doc['P1']}",
-        f"witness P2: {doc['P2']}",
-        f"witness alpha: {doc['alpha']}",
-    ]
-    extra = _approx_line("witness alpha", doc["alpha"], digits)
-    if extra:
-        out.append(extra)
+    A nested document prints under its key, booleans print in lower case,
+    and with digits > 0 an irrational q or alpha is followed by a line with
+    its decimal approximation."""
+    out = []
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            out.extend(f"{key} {line}" for line in _report_lines(value, digits))
+            continue
+        out.append(f"{key}: {str(value).lower() if isinstance(value, bool) else value}")
+        if key in ("q", "alpha") and digits > 0:
+            x = parse_scalar(value)
+            if x.tower_depth:
+                out.append(f"{key} approx: {enclosure_decimal(approx(x, digits), digits)}")
     return out
 
 
 def _cmd_classify(args) -> int:
     doc = classification_report(parse_poly(_poly_text(args)))
-
-    def lines(d):
-        out = [f"algebra: {d['algebra']}"]
-        if "q" in d:
-            out.append(f"q: {d['q']}")
-            extra = _approx_line("q", d["q"], args.digits)
-            if extra:
-                out.append(extra)
-        out.append(f"via_v: {str(d['via_v']).lower()}")
-        out.append(f"canonical_f: {d['canonical_f']}")
-        out.extend(_witness_lines(d["witness"], args.digits))
-        return out
-
-    _emit(doc, args, lines)
+    _emit(doc, args, lambda d: _report_lines(d, args.digits))
     return 0
 
 
 def _cmd_canon(args) -> int:
     doc = canonicalization_report(sf_from_poly(parse_poly(_poly_text(args))))
-
-    def lines(d):
-        out = [f"class: {d['class']}"]
-        if "q" in d:
-            out.append(f"q: {d['q']}")
-            extra = _approx_line("q", d["q"], args.digits)
-            if extra:
-                out.append(extra)
-        c = d["canonical"]
-        out.append(f"canonical homogeneous: {c['homogeneous']}")
-        out.append(f"canonical linear: {c['linear']}")
-        out.append(f"canonical constant: {c['constant']}")
-        out.extend(_witness_lines(d["witness"], args.digits))
-        return out
-
-    _emit(doc, args, lines)
+    _emit(doc, args, lambda d: _report_lines(d, args.digits))
     return 0
 
 
 def _cmd_congruent(args) -> int:
-    f = parse_poly(args.poly1)
-    g = parse_poly(args.poly2)
-    doc = congruence_report(f, g)
+    doc = congruence_report(parse_poly(args.poly1), parse_poly(args.poly2))
 
     def lines(d):
         if d["sf_congruent"]:
-            out = ["sf-congruent; witness verified"]
-            out.extend(_witness_lines(d["witness"], args.digits))
-            return out
+            return ["sf-congruent; witness verified"] + _report_lines(
+                {"witness": d["witness"]}, args.digits
+            )
         if d["isomorphic"]:
             return ["not sf-congruent; algebras isomorphic via non-affine bridge"]
         return ["not sf-congruent; not isomorphic"]
@@ -187,17 +155,11 @@ def _cmd_congruent(args) -> int:
 
 
 def _cmd_homogenize(args) -> int:
-    """homogenize and classify-h: the same report, classify-h without the relation."""
+    """homogenize and classify-h: the same report, classify-h without the
+    relation; neither prints the matrix or an approximation of q."""
     doc = homogenize_report(parse_poly(_poly_text(args)))
-
-    def lines(d):
-        out = [f"relation: {d['relation']}"] if args.command == "homogenize" else []
-        out.append(f"h_class: {d['h_class']}")
-        if "q" in d:
-            out.append(f"q: {d['q']}")
-        return out
-
-    _emit(doc, args, lines)
+    keys = ("relation", "h_class", "q") if args.command == "homogenize" else ("h_class", "q")
+    _emit(doc, args, lambda d: _report_lines({k: d[k] for k in keys if k in d}, 0))
     return 0
 
 

@@ -271,11 +271,6 @@ class StdFormMatrix:
             self.hom * s, (self.lin[0] * s, self.lin[1] * s), self.const * s
         )
 
-    def is_homogeneous(self) -> bool:
-        return (
-            self.lin[0].is_zero() and self.lin[1].is_zero() and self.const.is_zero()
-        )
-
     def __eq__(self, other):
         if not isinstance(other, StdFormMatrix):
             return NotImplemented

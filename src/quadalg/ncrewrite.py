@@ -203,10 +203,6 @@ class Rule:
     lhs: Word
     rhs: NCPoly
 
-    def difference(self) -> NCPoly:
-        """lhs - rhs, the ideal element this rule encodes."""
-        return NCPoly.term(self.lhs) - self.rhs
-
 
 @dataclass(frozen=True)
 class RewriteSystem:

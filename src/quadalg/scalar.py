@@ -52,13 +52,6 @@ def _zero(depth):
     return e
 
 
-def _const(fr, depth):
-    e = fr
-    for d in range(depth):
-        e = (e, _zero(d))
-    return e
-
-
 def _lift(e, from_depth, to_depth):
     for d in range(from_depth, to_depth):
         e = (e, _zero(d))
@@ -203,17 +196,16 @@ def _csqrt(re: Fraction, im: Fraction, digits: int):
 class _RootPin:
     """Refinable enclosure fixing which branch a tower level's root denotes."""
 
-    __slots__ = ("re", "im", "rad", "digits")
+    __slots__ = ("re", "im", "rad")
 
-    def __init__(self, re, im, rad, digits):
+    def __init__(self, re, im, rad):
         self.re = re
         self.im = im
         self.rad = rad
-        self.digits = digits
 
-    def update(self, re, im, rad, digits):
+    def update(self, re, im, rad):
         if rad < self.rad:
-            self.re, self.im, self.rad, self.digits = re, im, rad, digits
+            self.re, self.im, self.rad = re, im, rad
 
 
 def _rational_value(e, depth) -> Optional[Fraction]:
@@ -295,13 +287,13 @@ def _make_pin(tower, idx) -> _RootPin:
         comp = max(abs(ure), abs(uim))
         if comp > 4 * delta:
             if ure - delta > 0:
-                return _RootPin(ure, uim, delta, d)
+                return _RootPin(ure, uim, delta)
             if ure + delta < 0:
-                return _RootPin(-ure, -uim, delta, d)
+                return _RootPin(-ure, -uim, delta)
             if uim - delta > 0:
-                return _RootPin(ure, uim, delta, d)
+                return _RootPin(ure, uim, delta)
             if uim + delta < 0:
-                return _RootPin(-ure, -uim, delta, d)
+                return _RootPin(-ure, -uim, delta)
         d = _more_digits(d)
 
 
@@ -316,7 +308,7 @@ def _root_ball(tower, idx, digits):
         if (dp <= thresh) != (dm <= thresh):
             if dm <= thresh:
                 ure, uim = -ure, -uim
-            pin.update(ure, uim, delta, d)
+            pin.update(ure, uim, delta)
             return _Ball(ure, uim, delta)
         # pins are created with radius under a quarter of the root size, so
         # shrinking the candidate alone is enough to separate the branches
@@ -442,7 +434,7 @@ def _merge_towers(ta, tb):
                 )
             pin = _make_pin_for_radicand(result, r_hat)
             grown = result + (_Level(r_hat, pin, len(result)),)
-            new_root = (_zero(len(result)), _const(Fraction(1), len(result)))
+            new_root = (_zero(len(result)), _lift(Fraction(1), 0, len(result)))
             if not _roots_match(grown, new_root, tb, j):
                 new_root = _neg(new_root, len(grown))
             maps = [_lift(m, len(result), len(grown)) for m in maps]
@@ -522,9 +514,6 @@ class Scalar:
 
     def is_zero(self) -> bool:
         return _is_zero(self._elt, len(self._tower))
-
-    def is_one(self) -> bool:
-        return (self - 1).is_zero()
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -652,11 +641,6 @@ class Scalar:
                 )
             d = _more_digits(d)
 
-    def approx_complex(self, digits: int = 20) -> complex:
-        enc = self.approx(digits)
-        re, im = enc.midpoint()
-        return complex(re, im)
-
     # -- printing
 
     def _terms(self):
@@ -730,7 +714,7 @@ def sqrt_extend(s: Scalar) -> Scalar:
         )
     pin = _make_pin_for_radicand(tower, s._elt)
     grown = tower + (_Level(s._elt, pin, depth),)
-    return Scalar(grown, (_zero(depth), _const(Fraction(1), depth)))
+    return Scalar(grown, (_zero(depth), _lift(Fraction(1), 0, depth)))
 
 
 # ---------------------------------------------------------------------------

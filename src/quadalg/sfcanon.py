@@ -2,15 +2,9 @@
 
 Two standard-form matrices are equivalent when one is a nonzero multiple of
 the standard-form fold of a congruence by an affine substitution.  Every
-matrix with a nonzero quadratic block lands on exactly one of eleven
-canonical shapes (two carry a parameter q, identified with 1/q):
-
-    X2         x^2                    JORDAN    yx - xy + y^2
-    X2_MINUS1  x^2 - 1                JORDAN1   yx - xy + y^2 + 1
-    KX         x^2 + y                VFORM     yx - xy + y^2 + x
-    YX         yx                     QPLANE    q yx - xy
-    S          yx - 1                 QWEYL     q yx - xy + 1
-    UFORM      yx - xy + y
+matrix with a nonzero quadratic block lands on exactly one of the eleven
+canonical shapes in `_CLASSES` (two carry a parameter q, identified with
+1/q).
 
 The canonicalization runs in stages: put the quadratic block in canonical
 form, then clear the linear column with a translation (plus a stabilizer
@@ -24,9 +18,16 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
-from .congruence2 import Canon2Label, Label, canon2, literal_label, reciprocal_equivalent
+from .congruence2 import (
+    Canon2Label,
+    Label,
+    canon2,
+    canonical_mat2,
+    literal_label,
+    reciprocal_equivalent,
+)
 from .matrix import (
     DegreeError,
     Mat2,
@@ -39,19 +40,24 @@ from .matrix import (
 )
 from .scalar import Scalar, as_scalar, sqrt_extend
 
-CANONICAL_TAGS = (
-    "X2",
-    "X2_MINUS1",
-    "KX",
-    "JORDAN",
-    "JORDAN1",
-    "VFORM",
-    "YX",
-    "S",
-    "QPLANE",
-    "QWEYL",
-    "UFORM",
-)
+# The eleven classes: tag -> (canonical 2x2 block, linear column, constant),
+# with the relation each one stands for.  The Q block carries the class's q,
+# or 1 for UFORM.
+_CLASSES = {
+    "X2": ("X2", (0, 0), 0),  # x^2
+    "X2_MINUS1": ("X2", (0, 0), -1),  # x^2 - 1
+    "KX": ("X2", (0, 1), 0),  # x^2 + y
+    "JORDAN": ("JORDAN", (0, 0), 0),  # yx - xy + y^2
+    "JORDAN1": ("JORDAN", (0, 0), 1),  # yx - xy + y^2 + 1
+    "VFORM": ("JORDAN", (1, 0), 0),  # yx - xy + y^2 + x
+    "YX": ("YX", (0, 0), 0),  # yx
+    "S": ("YX", (0, 0), -1),  # yx - 1
+    "QPLANE": ("Q", (0, 0), 0),  # q yx - xy
+    "QWEYL": ("Q", (0, 0), 1),  # q yx - xy + 1
+    "UFORM": ("Q", (0, 1), 0),  # yx - xy + y
+}
+
+CANONICAL_TAGS = tuple(_CLASSES)
 
 
 class CanonicalClass(Label):
@@ -64,43 +70,37 @@ class CanonicalClass(Label):
         return canonical_matrix(self)
 
 
-_HOM = {
-    "X2": Mat2(1, 0, 0, 0),
-    "YX": Mat2(0, 0, 1, 0),
-    "JORDAN": Mat2(0, -1, 1, 1),
-}
-
-
 def canonical_matrix(cls: CanonicalClass) -> StdFormMatrix:
-    tag = cls.tag
-    if tag in ("X2", "X2_MINUS1", "KX"):
-        hom = _HOM["X2"]
-    elif tag in ("YX", "S"):
-        hom = _HOM["YX"]
-    elif tag in ("JORDAN", "JORDAN1", "VFORM"):
-        hom = _HOM["JORDAN"]
-    elif tag == "UFORM":
-        hom = Mat2(0, -1, 1, 0)
+    block, lin, const = _CLASSES[cls.tag]
+    if block == "Q":
+        label = Canon2Label("Q", 1 if cls.q is None else cls.q)
     else:
-        hom = Mat2(0, -1, cls.q, 0)
-    lin = (Scalar.zero(), Scalar.zero())
-    const = Scalar.zero()
-    if tag == "KX":
-        lin = (Scalar.zero(), Scalar.one())
-    elif tag == "VFORM":
-        lin = (Scalar.one(), Scalar.zero())
-    elif tag == "UFORM":
-        lin = (Scalar.zero(), Scalar.one())
-    elif tag in ("X2_MINUS1", "S"):
-        const = as_scalar(-1)
-    elif tag in ("JORDAN1", "QWEYL"):
-        const = Scalar.one()
-    return StdFormMatrix(hom=hom, lin=lin, const=const)
+        label = Canon2Label(block)
+    return StdFormMatrix(hom=canonical_mat2(label), lin=lin, const=const)
+
+
+def literal_class(m: StdFormMatrix) -> Optional[CanonicalClass]:
+    """The class label if m is literally one of the canonical matrices."""
+    block = literal_label(m.hom)
+    if block is None:
+        return None
+    for tag, (block_tag, _, _) in _CLASSES.items():
+        if block_tag != block.tag:
+            continue
+        cls = CanonicalClass(tag, block.q if tag in CanonicalClass.PARAMETRIC else None)
+        if canonical_matrix(cls) == m:
+            return cls
+    return None
 
 
 @dataclass(frozen=True)
 class SfWitness:
-    """Change of variables with scale: target = scale * fold(map^T source map)."""
+    """Change of variables with scale: apply(n) = scale * fold(map^T n map).
+
+    The one element of the standard-form congruence action: canonicalization
+    stages compose with `then`, and a comparison of two canonicalizations
+    goes through `inverse`.
+    """
 
     map: PAffine
     scale: Scalar
@@ -114,6 +114,31 @@ class SfWitness:
     def identity(cls) -> "SfWitness":
         return cls(PAffine.identity(), Scalar.one())
 
+    def then(self, other: "SfWitness") -> "SfWitness":
+        """First self, then other: other.apply(self.apply(n)) = result.apply(n)."""
+        return SfWitness(p_compose(self.map, other.map), self.scale * other.scale)
+
+    def inverse(self) -> "SfWitness":
+        return SfWitness(p_invert(self.map), self.scale.inverse())
+
+    def apply(self, n: StdFormMatrix) -> StdFormMatrix:
+        return apply_congruence(n, self.map, self.scale)
+
+
+def scaling(gamma) -> SfWitness:
+    """Rescale the generators by gamma: keeps the quadratic block, divides the
+    linear column by gamma and the constant by gamma^2."""
+    gamma = as_scalar(gamma)
+    return SfWitness(PAffine(Mat2(gamma, 0, 0, gamma)), (gamma * gamma).inverse())
+
+
+def _substitution(p1: Mat2, p2) -> SfWitness:
+    return SfWitness(PAffine(p1, p2), Scalar.one())
+
+
+def _shift(e, f) -> SfWitness:
+    return _substitution(Mat2.identity(), (e, f))
+
 
 def verify_witness(m: StdFormMatrix, n: StdFormMatrix, w: SfWitness) -> bool:
     """True iff m = scale * fold(map^T n map), entrywise exact.
@@ -124,145 +149,65 @@ def verify_witness(m: StdFormMatrix, n: StdFormMatrix, w: SfWitness) -> bool:
     return sf_map(pm.transpose() * n.embed() * pm).scale(w.scale) == m
 
 
-def scale_normalize(m: StdFormMatrix, gamma) -> StdFormMatrix:
-    """Rescale generators by gamma: keeps the quadratic block, divides the
-    linear column by gamma and the constant by gamma^2."""
-    gamma = as_scalar(gamma)
-    if gamma.is_zero():
-        raise ValueError("gamma must be nonzero")
-    ginv = gamma.inverse()
-    return StdFormMatrix(
-        hom=m.hom,
-        lin=(m.lin[0] * ginv, m.lin[1] * ginv),
-        const=m.const * ginv * ginv,
-    )
+def _constant(stages, c: Scalar, plain: str, shifted: str, q=None):
+    """Finish on `plain` when the constant c is zero, else scale c onto the
+    constant of `shifted` (1 or -1) by the square root of their quotient."""
+    if c.is_zero():
+        return stages, CanonicalClass(plain, q)
+    stages.append(scaling(sqrt_extend(c if _CLASSES[shifted][2] == 1 else -c)))
+    return stages, CanonicalClass(shifted, q)
 
 
-def _scaling_stage(gamma: Scalar) -> Tuple[PAffine, Scalar]:
-    gamma = as_scalar(gamma)
-    return (
-        PAffine(Mat2(gamma, 0, 0, gamma)),
-        (gamma * gamma).inverse(),
-    )
-
-
-def literal_class(m: StdFormMatrix) -> Optional[CanonicalClass]:
-    """The class label if m is literally one of the canonical matrices."""
-    u, v, n = m.lin[0], m.lin[1], m.const
-    h = m.hom
-    lbl = literal_label(h)
-    if lbl is None:
-        return None
-    uz, vz, nz = u.is_zero(), v.is_zero(), n.is_zero()
-    if lbl.tag == "X2":
-        if uz and vz and nz:
-            return CanonicalClass("X2")
-        if uz and vz and n == -1:
-            return CanonicalClass("X2_MINUS1")
-        if uz and v == 1 and nz:
-            return CanonicalClass("KX")
-    elif lbl.tag == "YX":
-        if uz and vz and nz:
-            return CanonicalClass("YX")
-        if uz and vz and n == -1:
-            return CanonicalClass("S")
-    elif lbl.tag == "JORDAN":
-        if uz and vz and nz:
-            return CanonicalClass("JORDAN")
-        if uz and vz and n == 1:
-            return CanonicalClass("JORDAN1")
-        if u == 1 and vz and nz:
-            return CanonicalClass("VFORM")
-    else:
-        if uz and vz and nz:
-            return CanonicalClass("QPLANE", lbl.q)
-        if uz and vz and n == 1:
-            return CanonicalClass("QWEYL", lbl.q)
-        if lbl.q == 1 and uz and v == 1 and nz:
-            return CanonicalClass("UFORM")
-    return None
-
-
-def _stage2(label2: Canon2Label, current: StdFormMatrix):
+def _stage2(
+    label2: Canon2Label, current: StdFormMatrix
+) -> Tuple[List[SfWitness], CanonicalClass]:
     """Stages clearing the linear column and constant once the block is
-    canonical.  Returns (list of (PAffine, scale), class)."""
+    canonical, and the class they reach."""
     u, v, n = current.lin[0], current.lin[1], current.const
     tag = label2.tag
-    stages = []
 
     if tag == "X2":
         if not v.is_zero():
             vin = v.inverse()
-            p1 = Mat2(1, 0, -u * vin, vin)
-            stages.append((PAffine(p1, (Scalar.zero(), -n * vin)), Scalar.one()))
-            return stages, CanonicalClass("KX")
+            stage = _substitution(Mat2(1, 0, -u * vin, vin), (0, -n * vin))
+            return [stage], CanonicalClass("KX")
         half_u = u * Fraction(1, 2)
-        stages.append((PAffine(Mat2.identity(), (-half_u, Scalar.zero())), Scalar.one()))
-        c = n - half_u * half_u
-        if c.is_zero():
-            return stages, CanonicalClass("X2")
-        stages.append(_scaling_stage(sqrt_extend(-c)))
-        return stages, CanonicalClass("X2_MINUS1")
+        return _constant([_shift(-half_u, 0)], n - half_u * half_u, "X2", "X2_MINUS1")
 
     if tag == "YX":
-        stages.append((PAffine(Mat2.identity(), (-v, -u)), Scalar.one()))
-        c = n - u * v
-        if c.is_zero():
-            return stages, CanonicalClass("YX")
-        stages.append(_scaling_stage(sqrt_extend(-c)))
-        return stages, CanonicalClass("S")
+        return _constant([_shift(-v, -u)], n - u * v, "YX", "S")
 
     if tag == "JORDAN":
         if u.is_zero():
-            f = -v * Fraction(1, 2)
-            stages.append((PAffine(Mat2.identity(), (Scalar.zero(), f)), Scalar.one()))
-            c = n - v * v * Fraction(1, 4)
-            if c.is_zero():
-                return stages, CanonicalClass("JORDAN")
-            stages.append(_scaling_stage(sqrt_extend(c)))
-            return stages, CanonicalClass("JORDAN1")
-        stages.append(_scaling_stage(u))
+            stages = [_shift(0, -v * Fraction(1, 2))]
+            return _constant(stages, n - v * v * Fraction(1, 4), "JORDAN", "JORDAN1")
         v1 = v / u
         n1 = n / (u * u)
-        f = -v1 * Fraction(1, 2)
         e = v1 * v1 * Fraction(1, 4) - n1
-        stages.append((PAffine(Mat2.identity(), (e, f)), Scalar.one()))
-        return stages, CanonicalClass("VFORM")
+        return [scaling(u), _shift(e, -v1 * Fraction(1, 2))], CanonicalClass("VFORM")
 
     # quadratic block is [[0, -1], [q, 0]]
     q = label2.q
     if q == 1:
         if u.is_zero() and v.is_zero():
-            if n.is_zero():
-                return stages, CanonicalClass("QPLANE", q)
-            stages.append(_scaling_stage(sqrt_extend(n)))
-            return stages, CanonicalClass("QWEYL", q)
+            return _constant([], n, "QPLANE", "QWEYL", q)
         # rotate the linear column onto the y slot; the same linear system
         # fixes det(P1) = 1, which keeps the antisymmetric block unscaled
         if not u.is_zero():
-            p1 = Mat2(v, u.inverse(), -u, 0)
-            p2 = (-n / u, Scalar.zero())
+            stage = _substitution(Mat2(v, u.inverse(), -u, 0), (-n / u, 0))
         else:
-            p1 = Mat2(v, 0, -u, v.inverse())
-            p2 = (Scalar.zero(), -n / v)
-        stages.append((PAffine(p1, p2), Scalar.one()))
-        return stages, CanonicalClass("UFORM")
+            stage = _substitution(Mat2(v, 0, -u, v.inverse()), (0, -n / v))
+        return [stage], CanonicalClass("UFORM")
 
     one_m_q = 1 - q
-    e = v / one_m_q
-    f = u / one_m_q
-    stages.append((PAffine(Mat2.identity(), (e, f)), Scalar.one()))
-    c = n - u * v / (q - 1)
-    if c.is_zero():
-        return stages, CanonicalClass("QPLANE", q)
-    stages.append(_scaling_stage(sqrt_extend(c)))
-    return stages, CanonicalClass("QWEYL", q)
+    stages = [_shift(v / one_m_q, u / one_m_q)]
+    return _constant(stages, n - u * v / (q - 1), "QPLANE", "QWEYL", q)
 
 
 def sf_canonicalize(
     m: StdFormMatrix,
 ) -> Tuple[CanonicalClass, StdFormMatrix, SfWitness]:
-    """Class, canonical matrix, and witness with canonical = scale * fold(P^T m P)."""
+    """Class, canonical matrix, and witness with canonical = witness.apply(m)."""
     if m.hom.is_zero():
         raise DegreeError("matrix has no quadratic part")
 
@@ -271,20 +216,14 @@ def sf_canonicalize(
         return lit, canonical_matrix(lit), SfWitness.identity()
 
     label2, p2x2, alpha2 = canon2(m.hom)
-    stages = [(PAffine(p2x2), alpha2)]
-    current = apply_congruence(m, *stages[0])
-    tail, cls = _stage2(label2, current)
-    for stage in tail:
-        current = apply_congruence(current, *stage)
-
-    pmap = PAffine.identity()
-    scale = Scalar.one()
-    for p, a in stages + tail:
-        pmap = p_compose(pmap, p)
-        scale = scale * a
+    witness = SfWitness(PAffine(p2x2), alpha2)
+    current = witness.apply(m)
+    stages, cls = _stage2(label2, current)
+    for stage in stages:
+        current = stage.apply(current)
+        witness = witness.then(stage)
 
     canonical = canonical_matrix(cls)
-    witness = SfWitness(pmap, scale)
     if current != canonical or not verify_witness(canonical, m, witness):
         raise AssertionError(f"canonicalization produced an invalid witness for {m!r}")
     return cls, canonical, witness
@@ -299,9 +238,7 @@ def sf_compare(
     cls_n, _, w_n = sf_canonicalize(n)
     if not reciprocal_equivalent(cls_m, cls_n):
         return cls_m, cls_n, None
-    pmap = p_compose(w_n.map, p_invert(w_m.map))
-    scale = w_n.scale / w_m.scale
-    witness = SfWitness(pmap, scale)
+    witness = w_n.then(w_m.inverse())
     if not verify_witness(m, n, witness):
         raise AssertionError("composed witness failed verification")
     return cls_m, cls_n, witness

@@ -265,10 +265,19 @@ class TestHomogenize:
 
     def test_commutation_forms_are_fixed(self):
         t = homogenize(X * X)
-        assert t.x_commutation == X_COMMUTATION
-        assert t.y_commutation == Y_COMMUTATION
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             HTriple(relation=t.relation, x_commutation=Mat3.identity())
+
+        def form(m):
+            """The quadratic form of m over the generator vector (x, y, z)."""
+            gens = (X, Y, Z)
+            return sum(
+                (gens[i] * gens[j] * m[i, j] for i in range(3) for j in range(3)),
+                NCPoly.zero(),
+            )
+
+        assert form(X_COMMUTATION) == X * Z - Z * X
+        assert form(Y_COMMUTATION) == Y * Z - Z * Y
 
     def test_zero_quadratic_block_rejected(self):
         with pytest.raises(DegreeError):

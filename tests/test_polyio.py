@@ -224,12 +224,18 @@ scalars = st.one_of(
 words = st.text(alphabet="xyz", min_size=0, max_size=4)
 
 
+ROOT2 = sqrt_extend(sc(2))
+# rational multiples of these: depth 0 to 2, with a nested radical
+RADICALS = (sc(1), ROOT2, sqrt_extend(sc(-1)), 1 + ROOT2, sqrt_extend(1 + ROOT2))
+tower_scalars = st.builds(lambda r, s: sc(r) * s, scalars, st.sampled_from(RADICALS))
+
+
 @st.composite
-def polys(draw):
+def polys(draw, coefficients=scalars):
     n = draw(st.integers(min_value=0, max_value=5))
     p = NCPoly.zero()
     for _ in range(n):
-        p = p + NCPoly.term(draw(words), sc(draw(scalars)))
+        p = p + NCPoly.term(draw(words), sc(draw(coefficients)))
     return p
 
 
@@ -237,6 +243,11 @@ class TestRoundTrip:
     @given(polys())
     @settings(max_examples=60)
     def test_parse_format_round_trip(self, p):
+        assert parse_poly(format_poly(p)) == p
+
+    @given(polys(tower_scalars))
+    @settings(max_examples=60)
+    def test_tower_coefficients_round_trip(self, p):
         assert parse_poly(format_poly(p)) == p
 
     @given(st.integers(min_value=1, max_value=9), st.integers(min_value=-9, max_value=-1))

@@ -12,7 +12,6 @@ from quadalg.matrix import (
     Mat2,
     PAffine,
     StdFormMatrix,
-    apply_congruence,
     matrix_from_coeffs,
     p_compose,
     p_invert,
@@ -25,7 +24,7 @@ from quadalg.sfcanon import (
     literal_class,
     orbit_sample,
     orbit_sample_with_witness,
-    scale_normalize,
+    scaling,
     sf_canonicalize,
     sf_congruent,
     verify_witness,
@@ -110,31 +109,32 @@ class TestVerifyWitness:
 
 
 class TestScaleNormalize:
+    """Normalizing by a scale of the generators: the witness scaling(gamma)."""
+
     def test_gamma_one_is_identity(self):
         m = matrix_from_coeffs((1, 2, 3, 4, 5, 6, 7))
-        assert scale_normalize(m, 1) == m
+        assert scaling(1).apply(m) == m
 
     def test_constant_scales_by_inverse_square(self):
         m = matrix_from_coeffs((0, 0, 1, 0, 0, 0, -4))
-        out = scale_normalize(m, 2)
+        out = scaling(2).apply(m)
         assert out.const == -1
         assert out.hom == m.hom
 
     def test_linear_scales_by_inverse(self):
         m = matrix_from_coeffs((1, 0, 0, 0, 0, 3, 0))
-        out = scale_normalize(m, 3)
+        out = scaling(3).apply(m)
         assert out.lin[1] == 1 and out.lin[0] == 0
 
     def test_zero_gamma_rejected(self):
         with pytest.raises(ValueError):
-            scale_normalize(matrix_from_coeffs((1, 0, 0, 0, 0, 0, 0)), 0)
+            scaling(0).apply(matrix_from_coeffs((1, 0, 0, 0, 0, 0, 0)))
 
     def test_matches_witness_semantics(self):
         m = matrix_from_coeffs((1, 2, 3, 4, 5, 6, 7))
         g = as_scalar(Fraction(3, 2))
-        out = scale_normalize(m, g)
-        p = PAffine(Mat2(g, 0, 0, g))
-        assert apply_congruence(m, p, (g * g).inverse()) == out
+        out = scaling(g).apply(m)
+        assert verify_witness(out, m, scaling(g))
 
 
 class TestIdempotence:
@@ -269,10 +269,12 @@ def test_witness_relation_laws(m, seed):
     # symmetry: invert the map and the scale
     back = SfWitness(p_invert(w.map), w.scale.inverse())
     assert verify_witness(m, n, back)
+    assert verify_witness(m, n, w.inverse())
     # transitivity through a second hop
     o, w2 = orbit_sample_with_witness(n, rng)
     joined = SfWitness(p_compose(w.map, w2.map), w.scale * w2.scale)
     assert verify_witness(o, m, joined)
+    assert verify_witness(o, m, w.then(w2))
 
 
 @settings(max_examples=40)
