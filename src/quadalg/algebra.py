@@ -18,9 +18,8 @@ in particular UFORM and VFORM no longer merge.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections.abc import Sequence
 from functools import lru_cache
-from typing import Dict, Optional, Sequence, Tuple, Union
 
 from .congruence2 import Label, reciprocal_equivalent
 from .matrix import (
@@ -103,7 +102,7 @@ def homogeneous_poly_from_sf(m: StdFormMatrix) -> NCPoly:
 # --- algebra names ---------------------------------------------------------
 
 # canonical class tag -> (algebra name, homogenized-algebra name)
-_NAMES: Dict[str, Tuple[str, str]] = {
+_NAMES: dict[str, tuple[str, str]] = {
     "QPLANE": ("OQ", "H_OQ"),
     "QWEYL": ("WEYL_Q", "H_WEYL"),
     "JORDAN": ("JORDAN", "H_JORDAN"),
@@ -121,7 +120,6 @@ ALGEBRA_NAMES = tuple(dict.fromkeys(a for a, _ in _NAMES.values()))
 H_CLASS_NAMES = tuple(h for _, h in _NAMES.values())
 
 
-@dataclass(frozen=True)
 class AlgebraClass(Label):
     """Algebra name with optional parameter; via_v records a VFORM arrival.
 
@@ -132,15 +130,23 @@ class AlgebraClass(Label):
     TAGS = ALGEBRA_NAMES
     PARAMETRIC = tuple(_NAMES[t][0] for t in CanonicalClass.PARAMETRIC)
 
-    via_v: bool = False
+    __slots__ = ("via_v",)
 
-    def __post_init__(self):
-        super().__post_init__()
-        if self.via_v and self.tag != "U":
+    def __init__(self, tag: str, q: Scalar | None = None, via_v: bool = False):
+        super().__init__(tag, q)
+        if via_v and tag != "U":
             raise ValueError("via_v marks only the U family")
+        object.__setattr__(self, "via_v", via_v)
 
-    # the dataclass decorator would derive a hash from the fields otherwise
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return super().__eq__(other) and self.via_v == other.via_v
+
     __hash__ = None
+
+    def __repr__(self):
+        return f"AlgebraClass(tag={self.tag!r}, q={self.q!r}, via_v={self.via_v!r})"
 
 
 def algebra_of_class(cls: CanonicalClass) -> AlgebraClass:
@@ -194,10 +200,10 @@ def verified_uv_bridge() -> bool:
     return True
 
 
-Evidence = Union[SfWitness, str, None]
+Evidence = SfWitness | str | None
 
 
-def iso_check(f: NCPoly, g: NCPoly) -> Tuple[bool, Evidence]:
+def iso_check(f: NCPoly, g: NCPoly) -> tuple[bool, Evidence]:
     """Decide isomorphism of the algebras presented by f and g.
 
     Evidence is a verified affine witness when the defining matrices are
@@ -220,27 +226,37 @@ X_COMMUTATION = Mat3(((0, 0, 1), (0, 0, 0), (-1, 0, 0)))
 Y_COMMUTATION = Mat3(((0, 0, 0), (0, 0, 1), (0, -1, 0)))
 
 
-@dataclass(frozen=True)
 class HTriple:
     """Three-generator presentation: the relation, read with z in the affine
     slots (so it is homogeneous by construction), beside the two fixed
     commutation forms X_COMMUTATION and Y_COMMUTATION.
     """
 
-    relation: StdFormMatrix
+    __slots__ = ("relation",)
 
-    def __post_init__(self):
-        if self.relation.hom.is_zero():
+    def __init__(self, relation: StdFormMatrix):
+        if relation.hom.is_zero():
             raise ValueError("the quadratic block of the relation must be nonzero")
+        object.__setattr__(self, "relation", relation)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("HTriple is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.relation == other.relation
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"HTriple(relation={self.relation!r})"
 
     def relation_poly(self) -> NCPoly:
         return homogeneous_poly_from_sf(self.relation)
 
     def dehomogenized(self) -> NCPoly:
         return poly_from_sf(self.relation)
-
-    # the dataclass decorator would derive a hash from the fields otherwise
-    __hash__ = None
 
 
 def homogenize(f: NCPoly) -> HTriple:
@@ -268,7 +284,7 @@ def classify_h(t: HTriple) -> HClass:
 # --- commutation forms under substitution ----------------------------------
 
 
-def _transformed_commutation_forms(p: PAffine) -> Tuple[Mat3, Mat3]:
+def _transformed_commutation_forms(p: PAffine) -> tuple[Mat3, Mat3]:
     pe = p.embed()
     pt = pe.transpose()
     return pt * X_COMMUTATION * pe, pt * Y_COMMUTATION * pe
@@ -276,7 +292,7 @@ def _transformed_commutation_forms(p: PAffine) -> Tuple[Mat3, Mat3]:
 
 def xy_combination_coefficients(
     p: PAffine,
-) -> Tuple[Tuple[Scalar, Scalar], Tuple[Scalar, Scalar]]:
+) -> tuple[tuple[Scalar, Scalar], tuple[Scalar, Scalar]]:
     """Coefficients expressing the fixed forms in terms of their transforms.
 
     Returns ((r, s), (r', s')) with r*U + s*V and r'*U + s'*V recovering the
@@ -302,7 +318,7 @@ def xy_linear_combination_check(p: PAffine) -> bool:
 
 _QAS_MAX = 8
 
-ScalarRows = Tuple[Tuple[Scalar, ...], ...]
+ScalarRows = tuple[tuple[Scalar, ...], ...]
 
 
 def _qas_matrix(entries: Sequence[Sequence]) -> ScalarRows:
@@ -326,7 +342,7 @@ def _qas_matrix(entries: Sequence[Sequence]) -> ScalarRows:
 
 def qas_iso(
     p: Sequence[Sequence], q: Sequence[Sequence]
-) -> Tuple[bool, Optional[Tuple[int, ...]]]:
+) -> tuple[bool, tuple[int, ...] | None]:
     """Decide whether two parameter matrices agree up to a permutation.
 
     Returns (True, sigma) with p[i][j] = q[sigma(i)][sigma(j)] for all i, j

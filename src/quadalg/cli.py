@@ -16,7 +16,6 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional
 
 from .congruence2 import Canon2Label, stab_membership
 from .matrix import Mat2
@@ -29,6 +28,7 @@ from .polyio import (
     homogenize_report,
     load_system,
     matrix_from_document,
+    parse_json,
     parse_poly,
     parse_scalar,
     witness_from_document,
@@ -36,6 +36,17 @@ from .polyio import (
 from .algebra import ENVV_BRIDGE, qas_iso, sf_from_poly
 from .scalar import ScalarError, approx, enclosure_decimal
 from .sfcanon import verify_witness
+
+
+def _digits(text: str) -> int:
+    """Type of --digits: a bad value is a usage error (exit 2)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -54,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("poly1")
             p.add_argument("poly2")
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--digits", type=int, default=0,
+        p.add_argument("--digits", type=_digits, default=0,
                        help="append decimal approximations in text mode")
         return p
 
@@ -87,6 +98,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise ValueError(f"cannot read {path!r}: {exc.strerror or exc}") from None
+
+
 def _poly_text(args, attr: str = "poly") -> str:
     inline = getattr(args, attr, None)
     path = getattr(args, "file", None)
@@ -95,11 +113,11 @@ def _poly_text(args, attr: str = "poly") -> str:
     if inline is not None:
         return inline
     if path is not None:
-        return Path(path).read_text().strip()
+        return _read_text(path).strip()
     raise ValueError("missing polynomial input")
 
 
-def _emit(doc: Dict[str, object], args, text_lines) -> None:
+def _emit(doc: dict[str, object], args, text_lines) -> None:
     if args.format == "json":
         print(json.dumps(doc, indent=2))
     else:
@@ -107,7 +125,7 @@ def _emit(doc: Dict[str, object], args, text_lines) -> None:
             print(line)
 
 
-def _report_lines(doc: Dict[str, object], digits: int) -> List[str]:
+def _report_lines(doc: dict[str, object], digits: int) -> list[str]:
     """One `key: value` line per entry of a report document.
 
     A nested document prints under its key, booleans print in lower case,
@@ -164,7 +182,9 @@ def _cmd_homogenize(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report = json.loads(Path(args.report).read_text())
+    report = parse_json(_read_text(args.report), "report")
+    if not isinstance(report, dict):
+        raise ValueError("the report is not a JSON object")
     source = sf_from_poly(parse_poly(_poly_text(args)))
     wdoc = report.get("witness")
     if wdoc is None or wdoc == ENVV_BRIDGE:
@@ -172,7 +192,7 @@ def _cmd_verify(args) -> int:
     witness = witness_from_document(wdoc)
     if "canonical" in report:
         target = matrix_from_document(report["canonical"])
-    elif "canonical_f" in report:
+    elif isinstance(report.get("canonical_f"), str):
         target = sf_from_poly(parse_poly(report["canonical_f"]))
     else:
         raise ValueError("the report carries no canonical form")
@@ -201,11 +221,19 @@ def _cmd_stab(args) -> int:
     return 0
 
 
+def _qas_entry(x):
+    if isinstance(x, str):
+        return parse_scalar(x)
+    if isinstance(x, int):
+        return x
+    raise ValueError(f"matrix entries are integers or scalar text, not {x!r}")
+
+
 def _qas_rows(text: str):
-    rows = json.loads(text)
-    return tuple(
-        tuple(parse_scalar(x) if isinstance(x, str) else x for x in row) for row in rows
-    )
+    rows = parse_json(text, "matrix")
+    if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
+        raise ValueError("a parameter matrix is a JSON list of rows")
+    return tuple(tuple(_qas_entry(x) for x in row) for row in rows)
 
 
 def _cmd_qas_iso(args) -> int:
@@ -242,7 +270,7 @@ _HANDLERS = {
 }
 
 
-def _run(argv: Optional[List[str]]) -> int:
+def _run(argv: list[str] | None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -255,7 +283,7 @@ def _run(argv: Optional[List[str]]) -> int:
         return 1
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     try:
         code = _run(argv)
         sys.stdout.flush()

@@ -22,9 +22,7 @@ matrix builders; no canonicalization is attempted above dimension two.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import ClassVar, Optional, Tuple
 
 from .matrix import DegreeError, Mat2
 from .scalar import Scalar, as_scalar, sqrt_extend
@@ -32,7 +30,6 @@ from .scalar import Scalar, as_scalar, sqrt_extend
 HALF = Fraction(1, 2)
 
 
-@dataclass(frozen=True)
 class Label:
     """A class name: a tag, plus a nonzero q exactly when the tag is parametric.
 
@@ -42,25 +39,37 @@ class Label:
     reciprocal_equivalent identifies q with 1/q.
     """
 
-    TAGS: ClassVar[Tuple[str, ...]] = ()
-    PARAMETRIC: ClassVar[Tuple[str, ...]] = ()
+    __slots__ = ("tag", "q")
 
-    tag: str
-    q: Optional[Scalar] = None
+    TAGS = ()
+    PARAMETRIC = ()
 
-    def __post_init__(self):
-        if self.tag not in self.TAGS:
-            raise ValueError(f"unknown tag {self.tag!r}")
-        if (self.tag in self.PARAMETRIC) != (self.q is not None):
+    def __init__(self, tag: str, q: Scalar | None = None):
+        if tag not in self.TAGS:
+            raise ValueError(f"unknown tag {tag!r}")
+        if (tag in self.PARAMETRIC) != (q is not None):
             raise ValueError(
                 f"parameter q is present exactly for tag {'/'.join(self.PARAMETRIC)}"
             )
-        if self.q is not None:
-            object.__setattr__(self, "q", as_scalar(self.q))
-            if self.q.is_zero():
+        if q is not None:
+            q = as_scalar(q)
+            if q.is_zero():
                 raise ValueError("q must be nonzero")
+        object.__setattr__(self, "tag", tag)
+        object.__setattr__(self, "q", q)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.tag, self.q) == (other.tag, other.q)
 
     __hash__ = None
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(tag={self.tag!r}, q={self.q!r})"
 
     def __str__(self):
         if self.q is None:
@@ -106,7 +115,7 @@ def kappa(m: Mat2) -> Scalar:
     return m.symmetric_part().det() / (p * p)
 
 
-def _canonical_q_from_kappa(k: Scalar) -> Tuple[Scalar, Scalar]:
+def _canonical_q_from_kappa(k: Scalar) -> tuple[Scalar, Scalar]:
     """(q, sigma) with q the chosen root of (k+1)t^2 + 2(k-1)t + (k+1) = 0.
 
     sigma is the canonical square root of -k, and q = (1+sigma)/(1-sigma).
@@ -119,7 +128,7 @@ def _canonical_q_from_kappa(k: Scalar) -> Tuple[Scalar, Scalar]:
     return q, sigma
 
 
-def _rank1_symmetric_factor(s: Mat2) -> Tuple[Scalar, Tuple[Scalar, Scalar]]:
+def _rank1_symmetric_factor(s: Mat2) -> tuple[Scalar, tuple[Scalar, Scalar]]:
     """Write a nonzero singular symmetric s as lam * v v^T."""
     if not s.a.is_zero():
         return s.a, (Scalar.one(), s.b / s.a)
@@ -164,7 +173,7 @@ def _verify(m: Mat2, label: Canon2Label, p: Mat2, alpha: Scalar) -> None:
         raise AssertionError("witness linear part is singular")
 
 
-def literal_label(m: Mat2) -> Optional[Canon2Label]:
+def literal_label(m: Mat2) -> Canon2Label | None:
     """Label if m is literally one of the canonical matrices."""
     if m == Mat2(1, 0, 0, 0):
         return Canon2Label("X2")
@@ -186,7 +195,7 @@ def literal_label(m: Mat2) -> Optional[Canon2Label]:
     return None
 
 
-def canon2(m: Mat2) -> Tuple[Canon2Label, Mat2, Scalar]:
+def canon2(m: Mat2) -> tuple[Canon2Label, Mat2, Scalar]:
     """Label a nonzero 2x2 matrix and witness it: alpha * P^T m P = label matrix."""
     if m.is_zero():
         raise DegreeError("cannot canonicalize the zero matrix")
@@ -286,15 +295,37 @@ def stab_membership(label: Canon2Label, p: Mat2) -> bool:
 
 # --- block constructors for the classical congruence forms ----------------
 
-MatrixRows = Tuple[Tuple[Scalar, ...], ...]
+MatrixRows = tuple[tuple[Scalar, ...], ...]
 
 
-@dataclass(frozen=True)
 class HSBlock:
-    kind: str  # J, Gamma, or H
-    size: int
-    parameter: Optional[Scalar]
-    rows: MatrixRows
+    """A literal classical block: kind J, Gamma or H (see hs_block)."""
+
+    __slots__ = ("kind", "size", "parameter", "rows")
+
+    def __init__(self, kind: str, size: int, parameter: Scalar | None, rows: MatrixRows):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "parameter", parameter)
+        object.__setattr__(self, "rows", rows)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("HSBlock is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.size, self.parameter, self.rows) == (
+            other.kind, other.size, other.parameter, other.rows
+        )
+
+    __hash__ = None
+
+    def __repr__(self):
+        return (
+            f"HSBlock(kind={self.kind!r}, size={self.size!r}, "
+            f"parameter={self.parameter!r}, rows={self.rows!r})"
+        )
 
 
 def _jordan_rows(lam: Scalar, n: int) -> MatrixRows:

@@ -24,13 +24,12 @@ through `Mat3` stays as the independent check (`sfcanon.verify_witness`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence, Tuple
 
 from .scalar import Scalar, as_scalar
 
-Vec2 = Tuple[Scalar, Scalar]
+Vec2 = tuple[Scalar, Scalar]
 
 
 class DegreeError(ValueError):
@@ -249,17 +248,18 @@ class Mat3:
         return f"Mat3([{body}])"
 
 
-@dataclass(frozen=True, eq=False)
 class StdFormMatrix:
     """Defining matrix in standard form: quadratic block, linear column, constant."""
 
-    hom: Mat2
-    lin: Vec2
-    const: Scalar
+    __slots__ = ("hom", "lin", "const")
 
-    def __post_init__(self):
-        object.__setattr__(self, "lin", (_s(self.lin[0]), _s(self.lin[1])))
-        object.__setattr__(self, "const", _s(self.const))
+    def __init__(self, hom: Mat2, lin: Vec2, const: Scalar):
+        object.__setattr__(self, "hom", hom)
+        object.__setattr__(self, "lin", (_s(lin[0]), _s(lin[1])))
+        object.__setattr__(self, "const", _s(const))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("StdFormMatrix is immutable")
 
     def embed(self) -> Mat3:
         h, (u, v), n = self.hom, self.lin, self.const
@@ -283,6 +283,9 @@ class StdFormMatrix:
 
     __hash__ = None
 
+    def __repr__(self):
+        return f"StdFormMatrix(hom={self.hom!r}, lin={self.lin!r}, const={self.const!r})"
+
 
 def sf_map(m: Mat3) -> StdFormMatrix:
     """Fold a defining matrix to standard form (the represented element is kept)."""
@@ -294,19 +297,19 @@ def sf_map(m: Mat3) -> StdFormMatrix:
     )
 
 
-@dataclass(frozen=True, eq=False)
 class PAffine:
     """Affine substitution x' = P1 (x, y) + P2, as a block upper unitriangular 3x3."""
 
-    linear: Mat2
-    translation: Vec2 = (Fraction(0), Fraction(0))
+    __slots__ = ("linear", "translation")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "translation", (_s(self.translation[0]), _s(self.translation[1]))
-        )
-        if self.linear.det().is_zero():
+    def __init__(self, linear: Mat2, translation: Vec2 = (Fraction(0), Fraction(0))):
+        object.__setattr__(self, "linear", linear)
+        object.__setattr__(self, "translation", (_s(translation[0]), _s(translation[1])))
+        if linear.det().is_zero():
             raise ValueError("affine substitution needs an invertible linear part")
+
+    def __setattr__(self, name, value):
+        raise AttributeError("PAffine is immutable")
 
     @classmethod
     def identity(cls) -> "PAffine":
@@ -324,6 +327,9 @@ class PAffine:
         )
 
     __hash__ = None
+
+    def __repr__(self):
+        return f"PAffine(linear={self.linear!r}, translation={self.translation!r})"
 
 
 def p_compose(p: PAffine, q: PAffine) -> PAffine:
@@ -363,7 +369,7 @@ def matrix_from_coeffs(coeffs: Sequence) -> StdFormMatrix:
     return StdFormMatrix(hom=Mat2(a, b, c, d), lin=(u, v), const=n)
 
 
-def coeffs_from_matrix(m) -> Tuple[Scalar, ...]:
+def coeffs_from_matrix(m) -> tuple[Scalar, ...]:
     if isinstance(m, Mat3):
         m = sf_map(m)
     h, (u, v), n = m.hom, m.lin, m.const

@@ -15,9 +15,8 @@ which for quadratic left sides is the complete local test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 from .scalar import Scalar, as_scalar
 
@@ -46,8 +45,8 @@ class NCPoly:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Optional[Mapping[Word, object]] = None):
-        clean: Dict[Word, Scalar] = {}
+    def __init__(self, terms: Mapping[Word, object] | None = None):
+        clean: dict[Word, Scalar] = {}
         if terms:
             for w, c in terms.items():
                 c = as_scalar(c)
@@ -74,7 +73,7 @@ class NCPoly:
     def term(cls, word: Word, coeff=1) -> "NCPoly":
         return cls({word: coeff})
 
-    def terms(self) -> Iterable[Tuple[Word, Scalar]]:
+    def terms(self) -> Iterable[tuple[Word, Scalar]]:
         return self._terms.items()
 
     def words(self):
@@ -123,7 +122,7 @@ class NCPoly:
             s = as_scalar(other)
             return NCPoly({w: c * s for w, c in self._terms.items()})
         if isinstance(other, NCPoly):
-            out: Dict[Word, Scalar] = {}
+            out: dict[Word, Scalar] = {}
             for w1, c1 in self._terms.items():
                 for w2, c2 in other._terms.items():
                     w = w1 + w2
@@ -155,7 +154,7 @@ class NCPoly:
         return "NCPoly(" + " + ".join(parts) + ")"
 
 
-def _as_poly(x) -> Union["NCPoly", type(NotImplemented)]:
+def _as_poly(x) -> NCPoly | type(NotImplemented):
     if isinstance(x, NCPoly):
         return x
     if isinstance(x, (Scalar, int, Fraction)):
@@ -166,7 +165,7 @@ def _as_poly(x) -> Union["NCPoly", type(NotImplemented)]:
 # --- term order -------------------------------------------------------------
 
 
-def parse_precedence(text: Union[str, Sequence[str]]) -> Tuple[str, ...]:
+def parse_precedence(text: str | Sequence[str]) -> tuple[str, ...]:
     """Letter precedence low-to-high, accepting forms like "z<y<x"."""
     if isinstance(text, str):
         letters = tuple(part.strip() for part in text.split("<"))
@@ -198,20 +197,33 @@ def leading_word(p: NCPoly, precedence: Sequence[str]) -> Word:
 # --- rewrite systems --------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Rule:
-    lhs: Word
-    rhs: NCPoly
+    __slots__ = ("lhs", "rhs")
+
+    def __init__(self, lhs: Word, rhs: NCPoly):
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Rule is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.lhs, self.rhs) == (other.lhs, other.rhs)
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"Rule(lhs={self.lhs!r}, rhs={self.rhs!r})"
 
 
-@dataclass(frozen=True)
 class RewriteSystem:
-    rules: Tuple[Rule, ...]
-    precedence: Tuple[str, ...]
+    __slots__ = ("rules", "precedence")
 
-    def __post_init__(self):
-        object.__setattr__(self, "precedence", parse_precedence(self.precedence))
-        object.__setattr__(self, "rules", tuple(self.rules))
+    def __init__(self, rules: Iterable[Rule], precedence: str | Sequence[str]):
+        object.__setattr__(self, "precedence", parse_precedence(precedence))
+        object.__setattr__(self, "rules", tuple(rules))
         rank = {ch: i for i, ch in enumerate(self.precedence)}
         seen = set()
         for rule in self.rules:
@@ -228,11 +240,24 @@ class RewriteSystem:
                         f"rule {rule.lhs!r} does not dominate its right side"
                     )
 
-    def lhs_map(self) -> Dict[Word, NCPoly]:
+    def __setattr__(self, name, value):
+        raise AttributeError("RewriteSystem is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.rules, self.precedence) == (other.rules, other.precedence)
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"RewriteSystem(rules={self.rules!r}, precedence={self.precedence!r})"
+
+    def lhs_map(self) -> dict[Word, NCPoly]:
         return {r.lhs: r.rhs for r in self.rules}
 
 
-def orient(f: NCPoly, precedence: Union[str, Sequence[str]]) -> Rule:
+def orient(f: NCPoly, precedence: str | Sequence[str]) -> Rule:
     """Turn a relation into a rule: leading word rewrites to minus the rest."""
     precedence = parse_precedence(precedence)
     lead = leading_word(f, precedence)
@@ -254,7 +279,7 @@ def orient(f: NCPoly, precedence: Union[str, Sequence[str]]) -> Rule:
 
 
 def system_from_relations(
-    relations: Iterable[NCPoly], precedence: Union[str, Sequence[str]]
+    relations: Iterable[NCPoly], precedence: str | Sequence[str]
 ) -> RewriteSystem:
     precedence = parse_precedence(precedence)
     return RewriteSystem(
@@ -268,7 +293,7 @@ def reduce(p: NCPoly, sys: RewriteSystem, degree_bound: int) -> NCPoly:
     Rules never raise word degree, so the bound only guards the input size.
     """
     table = sys.lhs_map()
-    out: Dict[Word, Scalar] = {}
+    out: dict[Word, Scalar] = {}
     stack = list(p.terms())
     while stack:
         word, coeff = stack.pop()

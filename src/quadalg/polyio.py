@@ -9,15 +9,17 @@ word-lexicographic.
 
 Documents are plain dicts ready for JSON: matrices carry exact scalar text
 entry by entry, witnesses carry (P1, P2, alpha), and reports bundle the
-canonical data with the witness that produced it.
+canonical data with the witness that produced it.  Reading a document back
+checks its shape and raises ValueError naming the entry that is wrong.
+
+Fixture systems are JSON files in the package directory on disk
+(data/systems), read with pathlib.
 """
 
 from __future__ import annotations
 
 import json
-from importlib import resources
 from pathlib import Path
-from typing import Dict, List, Tuple
 
 from .algebra import (
     algebra_of_class,
@@ -43,6 +45,7 @@ __all__ = [
     "load_system",
     "matrix_document",
     "matrix_from_document",
+    "parse_json",
     "parse_poly",
     "parse_scalar",
     "scalar_text",
@@ -51,10 +54,13 @@ __all__ = [
 ]
 
 
-# Input bounds: deeper nesting or larger powers are refused as syntax errors
-# instead of overflowing the recursive-descent parser or building huge words.
+# Input bounds: deeper nesting, larger powers or longer integers are refused
+# as syntax errors instead of overflowing the recursive-descent parser,
+# building huge words, or meeting the interpreter's own 4300-digit limit on
+# int/str conversion (Python 3.11 and later).
 MAX_NESTING = 100
 MAX_EXPONENT = 1000
+MAX_INT_DIGITS = 4300
 
 
 class PolySyntaxError(ValueError):
@@ -70,8 +76,8 @@ class PolySyntaxError(ValueError):
 _SYMBOLS = "+-*/^()"
 
 
-def _tokenize(text: str) -> List[Tuple[str, object, int]]:
-    out: List[Tuple[str, object, int]] = []
+def _tokenize(text: str) -> list[tuple[str, object, int]]:
+    out: list[tuple[str, object, int]] = []
     i, n = 0, len(text)
     while i < n:
         ch = text[i]
@@ -79,10 +85,12 @@ def _tokenize(text: str) -> List[Tuple[str, object, int]]:
             i += 1
             continue
         col = i + 1
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
+            if j - i > MAX_INT_DIGITS:
+                raise PolySyntaxError(f"integer has more than {MAX_INT_DIGITS} digits", col)
             out.append(("number", int(text[i:j]), col))
             i = j
         elif ch.isalpha():
@@ -106,15 +114,15 @@ class _Parser:
         self.pos = 0
         self.depth = 0
 
-    def peek(self) -> Tuple[str, object, int]:
+    def peek(self) -> tuple[str, object, int]:
         return self.tokens[self.pos]
 
-    def advance(self) -> Tuple[str, object, int]:
+    def advance(self) -> tuple[str, object, int]:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def expect(self, kind: str) -> Tuple[str, object, int]:
+    def expect(self, kind: str) -> tuple[str, object, int]:
         kind_here, _, col = self.peek()
         if kind_here != kind:
             raise PolySyntaxError(f"expected {kind!r}", col)
@@ -316,7 +324,7 @@ def format_poly(p: NCPoly) -> str:
 # --- documents ---------------------------------------------------------------
 
 
-def matrix_document(m: StdFormMatrix) -> Dict[str, object]:
+def matrix_document(m: StdFormMatrix) -> dict[str, object]:
     h = m.hom
     return {
         "homogeneous": [
@@ -328,13 +336,67 @@ def matrix_document(m: StdFormMatrix) -> Dict[str, object]:
     }
 
 
-def matrix_from_document(doc: Dict[str, object]) -> StdFormMatrix:
-    (a, b), (c, d) = ((parse_scalar(x) for x in row) for row in doc["homogeneous"])
-    u, v = (parse_scalar(x) for x in doc["linear"])
-    return StdFormMatrix(Mat2(a, b, c, d), (u, v), parse_scalar(doc["constant"]))
+def _json_int(text: str) -> int:
+    if len(text.lstrip("-")) > MAX_INT_DIGITS:
+        raise ValueError(f"a JSON integer has more than {MAX_INT_DIGITS} digits")
+    return int(text)
 
 
-def witness_document(w: SfWitness) -> Dict[str, object]:
+def parse_json(text: str, what: str):
+    """JSON value of a document from outside; every failure is a ValueError.
+
+    Integers are bounded like those of scalar text, and nesting too deep for
+    the decoder is refused; `what` names the document in the message.
+    """
+    try:
+        return json.loads(text, parse_int=_json_int)
+    except RecursionError:
+        raise ValueError(f"the {what} nests too deeply") from None
+
+
+def _entry(doc, key: str):
+    if not isinstance(doc, dict) or key not in doc:
+        raise ValueError(f"the document has no {key!r} entry")
+    return doc[key]
+
+
+def _scalars(items, key: str) -> list[Scalar]:
+    if not all(isinstance(x, str) for x in items):
+        raise ValueError(f"{key} entries must be scalar text")
+    return [parse_scalar(x) for x in items]
+
+
+def _block_entry(doc, key: str) -> Mat2:
+    rows = _entry(doc, key)
+    if not (
+        isinstance(rows, list)
+        and len(rows) == 2
+        and all(isinstance(r, list) and len(r) == 2 for r in rows)
+    ):
+        raise ValueError(f"{key} must be 2x2")
+    return Mat2(*_scalars(rows[0] + rows[1], key))
+
+
+def _column_entry(doc, key: str) -> tuple[Scalar, Scalar]:
+    column = _entry(doc, key)
+    if not (isinstance(column, list) and len(column) == 2):
+        raise ValueError(f"{key} must have 2 entries")
+    return tuple(_scalars(column, key))
+
+
+def _scalar_entry(doc, key: str) -> Scalar:
+    return _scalars([_entry(doc, key)], key)[0]
+
+
+def matrix_from_document(doc: dict[str, object]) -> StdFormMatrix:
+    return StdFormMatrix(
+        _block_entry(doc, "homogeneous"),
+        _column_entry(doc, "linear"),
+        _scalar_entry(doc, "constant"),
+    )
+
+
+def witness_document(w: SfWitness) -> dict[str, object]:
     p1 = w.map.linear
     return {
         "P1": [
@@ -346,15 +408,16 @@ def witness_document(w: SfWitness) -> Dict[str, object]:
     }
 
 
-def witness_from_document(doc: Dict[str, object]) -> SfWitness:
-    (a, b), (c, d) = ((parse_scalar(x) for x in row) for row in doc["P1"])
-    e, f = (parse_scalar(x) for x in doc["P2"])
-    return SfWitness(PAffine(Mat2(a, b, c, d), (e, f)), parse_scalar(doc["alpha"]))
+def witness_from_document(doc: dict[str, object]) -> SfWitness:
+    return SfWitness(
+        PAffine(_block_entry(doc, "P1"), _column_entry(doc, "P2")),
+        _scalar_entry(doc, "alpha"),
+    )
 
 
-def canonicalization_report(m: StdFormMatrix) -> Dict[str, object]:
+def canonicalization_report(m: StdFormMatrix) -> dict[str, object]:
     cls, canonical, w = sf_canonicalize(m)
-    doc: Dict[str, object] = {"class": cls.tag}
+    doc: dict[str, object] = {"class": cls.tag}
     if cls.q is not None:
         doc["q"] = scalar_text(cls.q)
     doc["canonical"] = matrix_document(canonical)
@@ -362,10 +425,10 @@ def canonicalization_report(m: StdFormMatrix) -> Dict[str, object]:
     return doc
 
 
-def classification_report(f: NCPoly) -> Dict[str, object]:
+def classification_report(f: NCPoly) -> dict[str, object]:
     cls, canonical, w = sf_canonicalize(sf_from_poly(f))
     a = algebra_of_class(cls)
-    doc: Dict[str, object] = {"algebra": a.tag}
+    doc: dict[str, object] = {"algebra": a.tag}
     if a.q is not None:
         doc["q"] = scalar_text(a.q)
     doc["via_v"] = a.via_v
@@ -374,10 +437,10 @@ def classification_report(f: NCPoly) -> Dict[str, object]:
     return doc
 
 
-def congruence_report(f: NCPoly, g: NCPoly) -> Dict[str, object]:
+def congruence_report(f: NCPoly, g: NCPoly) -> dict[str, object]:
     isomorphic, evidence = iso_check(f, g)
     congruent = isinstance(evidence, SfWitness)
-    doc: Dict[str, object] = {"sf_congruent": congruent, "isomorphic": isomorphic}
+    doc: dict[str, object] = {"sf_congruent": congruent, "isomorphic": isomorphic}
     if congruent:
         doc["witness"] = witness_document(evidence)
     elif isomorphic:
@@ -385,10 +448,10 @@ def congruence_report(f: NCPoly, g: NCPoly) -> Dict[str, object]:
     return doc
 
 
-def homogenize_report(f: NCPoly) -> Dict[str, object]:
+def homogenize_report(f: NCPoly) -> dict[str, object]:
     t = homogenize(f)
     h = classify_h(t)
-    doc: Dict[str, object] = {
+    doc: dict[str, object] = {
         "relation": format_poly(t.relation_poly()),
         "matrix": matrix_document(t.relation),
         "h_class": h.tag,
@@ -400,10 +463,10 @@ def homogenize_report(f: NCPoly) -> Dict[str, object]:
 
 # --- rewrite-system fixtures --------------------------------------------------
 
-_SYSTEM_DIR = resources.files(__package__) / "data" / "systems"
+_SYSTEM_DIR = Path(__file__).resolve().parent / "data" / "systems"
 
 
-def available_systems() -> Tuple[str, ...]:
+def available_systems() -> tuple[str, ...]:
     names = [
         entry.name[: -len(".json")]
         for entry in _SYSTEM_DIR.iterdir()
@@ -412,15 +475,24 @@ def available_systems() -> Tuple[str, ...]:
     return tuple(sorted(names))
 
 
-def load_system(name: str) -> Tuple[RewriteSystem, Dict[str, object]]:
+def load_system(name: str) -> tuple[RewriteSystem, dict[str, object]]:
     """Fixture by name (see available_systems) or by filesystem path."""
     if name in available_systems():
         text = (_SYSTEM_DIR / f"{name}.json").read_text()
-    elif Path(name).is_file():
-        text = Path(name).read_text()
     else:
-        known = ", ".join(available_systems())
-        raise ValueError(f"unknown system {name!r}; shipped fixtures: {known}")
-    doc = json.loads(text)
-    relations = [parse_poly(t) for t in doc["relations"]]
-    return system_from_relations(relations, doc["precedence"]), doc
+        try:
+            text = Path(name).read_text()
+        except OSError:
+            known = ", ".join(available_systems())
+            message = f"unknown system {name!r}; shipped fixtures: {known}"
+            raise ValueError(message) from None
+    doc = parse_json(text, "system")
+    texts, precedence = _entry(doc, "relations"), _entry(doc, "precedence")
+    if not (isinstance(texts, list) and all(isinstance(t, str) for t in texts)):
+        raise ValueError("relations must be a list of polynomial texts")
+    if not (
+        isinstance(precedence, (str, list)) and all(isinstance(c, str) for c in precedence)
+    ):
+        raise ValueError("precedence must be text such as 'y<x', or a list of letters")
+    relations = [parse_poly(t) for t in texts]
+    return system_from_relations(relations, precedence), doc

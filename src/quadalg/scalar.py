@@ -17,10 +17,8 @@ slot, and a rational radicand multiplies as a plain ``Fraction``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Optional, Union
 
 MAX_TOWER_DEPTH = 4
 
@@ -30,7 +28,7 @@ MAX_TOWER_DEPTH = 4
 # passing it raises ScalarError instead of spinning.
 MAX_ENCLOSURE_DIGITS = 1 << 16
 
-RationalLike = Union[int, Fraction]
+RationalLike = int | Fraction
 
 
 class ScalarError(Exception):
@@ -141,11 +139,20 @@ def _elt_eq(x, y, depth):
 # decimal enclosures (complex balls with exact rational data)
 
 
-@dataclass
 class _Ball:
-    re: Fraction
-    im: Fraction
-    rad: Fraction
+    __slots__ = ("re", "im", "rad")
+
+    def __init__(self, re: Fraction, im: Fraction, rad: Fraction):
+        self.re = re
+        self.im = im
+        self.rad = rad
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.re, self.im, self.rad) == (other.re, other.im, other.rad)
+
+    __hash__ = None
 
 
 def _ball_add(p, q):
@@ -208,7 +215,7 @@ class _RootPin:
             self.re, self.im, self.rad = re, im, rad
 
 
-def _rational_value(e, depth) -> Optional[Fraction]:
+def _rational_value(e, depth) -> Fraction | None:
     """The Fraction that e equals, or None when e is irrational."""
     while depth > 0:
         e, b = e
@@ -319,7 +326,7 @@ def _root_ball(tower, idx, digits):
 # square testing inside a tower
 
 
-def _sqrt_fraction(q: Fraction) -> Optional[Fraction]:
+def _sqrt_fraction(q: Fraction) -> Fraction | None:
     if q < 0:
         return None
     rn = isqrt(q.numerator)
@@ -452,14 +459,39 @@ def _make_pin_for_radicand(tower_prefix, radicand):
 # public scalar type
 
 
-@dataclass(frozen=True)
 class Enclosure:
     """Rational rectangle guaranteed to contain a complex value."""
 
-    re_low: Fraction
-    re_high: Fraction
-    im_low: Fraction
-    im_high: Fraction
+    __slots__ = ("re_low", "re_high", "im_low", "im_high")
+
+    def __init__(
+        self, re_low: Fraction, re_high: Fraction, im_low: Fraction, im_high: Fraction
+    ):
+        object.__setattr__(self, "re_low", re_low)
+        object.__setattr__(self, "re_high", re_high)
+        object.__setattr__(self, "im_low", im_low)
+        object.__setattr__(self, "im_high", im_high)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Enclosure is immutable")
+
+    def _key(self):
+        return (self.re_low, self.re_high, self.im_low, self.im_high)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    # the corners are Fractions, so unlike the other value types it hashes
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (
+            f"Enclosure(re_low={self.re_low!r}, re_high={self.re_high!r}, "
+            f"im_low={self.im_low!r}, im_high={self.im_high!r})"
+        )
 
     def contains_zero(self) -> bool:
         return (
@@ -507,7 +539,7 @@ class Scalar:
     def tower_depth(self) -> int:
         return len(self._tower)
 
-    def as_fraction(self) -> Optional[Fraction]:
+    def as_fraction(self) -> Fraction | None:
         if len(self._tower) == 0:
             return self._elt
         return None
@@ -738,10 +770,18 @@ def _flatten_terms(e, depth, tower):
     return out
 
 
+def _int_text(n: int) -> str:
+    try:
+        return str(n)
+    except ValueError:
+        # Python 3.11 and later cap int -> str conversion (4300 digits by default)
+        raise ScalarError("an exact value has an integer too long to print") from None
+
+
 def _fraction_text(q: Fraction) -> str:
     if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+        return _int_text(q.numerator)
+    return f"{_int_text(q.numerator)}/{_int_text(q.denominator)}"
 
 
 def _term_text(coeff: Fraction, rads) -> str:
@@ -780,7 +820,7 @@ def enclosure_decimal(enc: Enclosure, digits: int) -> str:
         sign = "-" if scaled < 0 else ""
         scaled = abs(scaled)
         whole, frac = divmod(scaled, 10 ** digits)
-        return f"{sign}{whole}.{str(frac).zfill(digits)}"
+        return f"{sign}{_int_text(whole)}.{str(frac).zfill(digits)}"
 
     if im == 0:
         return f"~{dec(re)}"

@@ -16,9 +16,7 @@ against the input before being returned.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
 
 from .congruence2 import (
     Canon2Label,
@@ -79,7 +77,7 @@ def canonical_matrix(cls: CanonicalClass) -> StdFormMatrix:
     return StdFormMatrix(hom=canonical_mat2(label), lin=lin, const=const)
 
 
-def literal_class(m: StdFormMatrix) -> Optional[CanonicalClass]:
+def literal_class(m: StdFormMatrix) -> CanonicalClass | None:
     """The class label if m is literally one of the canonical matrices."""
     block = literal_label(m.hom)
     if block is None:
@@ -93,7 +91,6 @@ def literal_class(m: StdFormMatrix) -> Optional[CanonicalClass]:
     return None
 
 
-@dataclass(frozen=True)
 class SfWitness:
     """Change of variables with scale: apply(n) = scale * fold(map^T n map).
 
@@ -102,13 +99,27 @@ class SfWitness:
     goes through `inverse`.
     """
 
-    map: PAffine
-    scale: Scalar
+    __slots__ = ("map", "scale")
 
-    def __post_init__(self):
-        object.__setattr__(self, "scale", as_scalar(self.scale))
-        if self.scale.is_zero():
+    def __init__(self, map: PAffine, scale: Scalar):
+        scale = as_scalar(scale)
+        if scale.is_zero():
             raise ValueError("witness scale must be nonzero")
+        object.__setattr__(self, "map", map)
+        object.__setattr__(self, "scale", scale)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SfWitness is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.map, self.scale) == (other.map, other.scale)
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"SfWitness(map={self.map!r}, scale={self.scale!r})"
 
     @classmethod
     def identity(cls) -> "SfWitness":
@@ -160,7 +171,7 @@ def _constant(stages, c: Scalar, plain: str, shifted: str, q=None):
 
 def _stage2(
     label2: Canon2Label, current: StdFormMatrix
-) -> Tuple[List[SfWitness], CanonicalClass]:
+) -> tuple[list[SfWitness], CanonicalClass]:
     """Stages clearing the linear column and constant once the block is
     canonical, and the class they reach."""
     u, v, n = current.lin[0], current.lin[1], current.const
@@ -206,7 +217,7 @@ def _stage2(
 
 def sf_canonicalize(
     m: StdFormMatrix,
-) -> Tuple[CanonicalClass, StdFormMatrix, SfWitness]:
+) -> tuple[CanonicalClass, StdFormMatrix, SfWitness]:
     """Class, canonical matrix, and witness with canonical = witness.apply(m)."""
     if m.hom.is_zero():
         raise DegreeError("matrix has no quadratic part")
@@ -231,7 +242,7 @@ def sf_canonicalize(
 
 def sf_compare(
     m: StdFormMatrix, n: StdFormMatrix
-) -> Tuple[CanonicalClass, CanonicalClass, Optional[SfWitness]]:
+) -> tuple[CanonicalClass, CanonicalClass, SfWitness | None]:
     """Canonicalize each side once: both classes, and a verified witness from
     n to m when they are equivalent (None otherwise)."""
     cls_m, _, w_m = sf_canonicalize(m)
@@ -246,7 +257,7 @@ def sf_compare(
 
 def sf_congruent(
     m: StdFormMatrix, n: StdFormMatrix
-) -> Tuple[bool, Optional[SfWitness]]:
+) -> tuple[bool, SfWitness | None]:
     """Decide equivalence; on success return a verified witness from n to m."""
     witness = sf_compare(m, n)[2]
     return witness is not None, witness
@@ -257,8 +268,8 @@ def _rand_fraction(rng: random.Random) -> Fraction:
 
 
 def orbit_sample_with_witness(
-    m: StdFormMatrix, rng: Optional[random.Random]
-) -> Tuple[StdFormMatrix, SfWitness]:
+    m: StdFormMatrix, rng: random.Random | None
+) -> tuple[StdFormMatrix, SfWitness]:
     """Random equivalent matrix plus the witness that generated it."""
     if rng is None:
         return m, SfWitness.identity()
@@ -284,7 +295,7 @@ def orbit_sample_with_witness(
 
 
 def orbit_sample(
-    m: StdFormMatrix, rng: Optional[random.Random]
+    m: StdFormMatrix, rng: random.Random | None
 ) -> StdFormMatrix:
     """Random member of the equivalence class of m (m itself when rng is None)."""
     return orbit_sample_with_witness(m, rng)[0]

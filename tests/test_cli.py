@@ -1,15 +1,21 @@
 """End-to-end command dispatch: exit codes, text lines, machine documents."""
 
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quadalg.cli import main
 from quadalg.polyio import (
+    available_systems,
+    load_system,
     matrix_from_document,
     parse_poly,
     witness_from_document,
@@ -272,3 +278,243 @@ class TestErrorsAndPlumbing:
             os.close(write_end)
         assert proc.returncode == 1
         assert proc.stderr == b""
+
+
+class TestBoundaryInputs:
+    """Inputs that once ended in a traceback or an interpreter message."""
+
+    def test_missing_report(self, capsys, tmp_path):
+        rc, _, err = run(capsys, "verify", "xy", "--report", str(tmp_path / "none.json"))
+        assert rc == 1
+        assert err.startswith("error: cannot read") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("text, message", [
+        ("[1, 2]", "error: the report is not a JSON object"),
+        ("[" * 100_000 + "]" * 100_000, "error: the report nests too deeply"),
+    ], ids=["list", "deep"])
+    def test_report_that_is_not_an_object(self, capsys, tmp_path, text, message):
+        report = tmp_path / "report.json"
+        report.write_text(text)
+        rc, _, err = run(capsys, "verify", "xy", "--report", str(report))
+        assert (rc, err) == (1, message + "\n")
+
+    def test_one_row_p1_names_the_shape(self, capsys, tmp_path):
+        rc, out, _ = run(capsys, "canon", "xy - 2yx - 1", "--format", "json")
+        doc = json.loads(out)
+        doc["witness"]["P1"] = doc["witness"]["P1"][:1]
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps(doc))
+        rc, _, err = run(capsys, "verify", "xy - 2yx - 1", "--report", str(report))
+        assert (rc, err) == (1, "error: P1 must be 2x2\n")
+
+    @pytest.mark.parametrize("left", [
+        "[[1, 1e308], [1, 1]]", "[[1, null], [1, 1]]", "[1, 1]", "7",
+        "[" * 100_000 + "]" * 100_000, "[[" + "7" * 5000 + "]]",
+    ], ids=["float", "null", "flat", "number", "deep", "long-int"])
+    def test_qas_iso_entries_are_typed_errors(self, capsys, left):
+        rc, _, err = run(capsys, "qas-iso", left, "[[1, 0], [0, 1]]")
+        assert rc == 1
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert not any(t in err for t in INTERPRETER_TEXT)
+
+    def test_negative_digits_is_usage_error(self, capsys):
+        rc, _, err = run(capsys, "classify", "xy - 2yx", "--digits", "-5")
+        assert rc == 2
+        assert "--digits" in err
+        rc, out, _ = run(capsys, "classify", "xy - 2yx", "--digits", "0")
+        assert rc == 0 and "approx" not in out
+
+    def test_long_integer_is_syntax_error(self, capsys):
+        rc, _, err = run(capsys, "classify", "xy - " + "7" * 5000 + "*yx")
+        assert rc == 1
+        assert err == "error: integer has more than 4300 digits (column 6)\n"
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="the interpreter prints integers of any length")
+    def test_result_too_long_to_print_is_domain_error(self, capsys):
+        n = "7" * 2200
+        rc, _, err = run(capsys, "classify", f"{n}*{n}*xy - yx")
+        assert (rc, err) == (1, "error: an exact value has an integer too long to print\n")
+
+
+# --- every input ends in an answer or a typed error ---------------------------
+
+# Fragments of the interpreter's own messages: a domain error never shows them.
+INTERPRETER_TEXT = ("Traceback", "unpack", "Exceeds the limit", "set_int_max_str_digits",
+                    "has no attribute", "not subscriptable", "not iterable",
+                    "invalid literal")
+
+
+def outcome(argv):
+    """Run the CLI in-process: exit 0, 1 or 2, and exit 1 says one line."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse
+            rc = exc.code
+    err = err.getvalue()
+    assert rc in (0, 1, 2), (argv, rc, err)
+    if rc == 1:
+        assert len(err.splitlines()) == 1, err
+        assert not any(t in err for t in INTERPRETER_TEXT), err
+    return rc
+
+
+TOKENS = ("x", "y", "z", "xy", "yx", "x^2", "^", "0", "1", "2", "3/4", "+", "-", "*", "/",
+          "(", ")", "sqrt(", "sqrt(2)", "sqrt(-1)", " ", ",", "Q(", "X2", "[", "]", '"')
+noise = st.lists(
+    st.sampled_from(TOKENS)
+    | st.text(max_size=2)
+    | st.sampled_from((4299, 4300, 4301, 5000)).map(lambda n: "9" * n),
+    max_size=8,
+).map("".join)
+terms = st.tuples(
+    st.sampled_from(("+", "-")),
+    st.sampled_from(("", "2", "1/3", "sqrt(2)", "(1 + sqrt(3))", "sqrt(-1)"))
+    | st.integers(1, 10**6).map(str),
+    st.sampled_from(("xx", "xy", "yx", "yy", "xy", "yx", "x", "y", "")),
+).map(lambda t: t[0] + (f"{t[1]}*{t[2]}" if t[1] and t[2] else t[1] or t[2] or "1"))
+relations = st.lists(terms, min_size=1, max_size=4).map(" ".join)
+texts = relations | noise
+deep_json = st.integers(1, 100_000).map(lambda n: "[" * n + "]" * n)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | texts,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(("P1", "P2", "alpha", "witness", "canonical",
+                                       "canonical_f", "homogeneous", "linear", "constant",
+                                       "relations", "precedence"))
+                      | st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _paths(value, prefix=()):
+    yield prefix
+    if isinstance(value, dict):
+        items = value.items()
+    else:
+        items = enumerate(value) if isinstance(value, list) else ()
+    for key, part in items:
+        yield from _paths(part, prefix + (key,))
+
+
+def _edit(value, path, op, new):
+    if not path:
+        return {"wrap": [value], "keep": value}.get(op, new)
+    out = value.copy()
+    if len(path) == 1 and op == "delete":
+        del out[path[0]]
+    else:
+        out[path[0]] = _edit(value[path[0]], path[1:], op, new)
+    return out
+
+
+@st.composite
+def mutated(draw, value):
+    """value with one part, anywhere in it, deleted, wrapped in a list,
+    replaced by random JSON, or kept."""
+    path = draw(st.sampled_from(list(_paths(value))))
+    op = draw(st.sampled_from(("delete", "wrap", "replace", "keep")))
+    return _edit(value, path, op, draw(json_values))
+
+
+SUBCOMMANDS = ("classify", "canon", "congruent", "homogenize", "classify-h",
+               "stab", "qas-iso", "reduce")
+
+
+@st.composite
+def cli_calls(draw):
+    command = draw(st.sampled_from(SUBCOMMANDS))
+    argv = [command, draw(texts)]
+    if command in ("congruent", "stab", "qas-iso"):
+        argv.append(draw(texts))
+    if command == "reduce":
+        argv += ["--system", draw(st.sampled_from(("u", "h_kx")) | texts)]
+    digits = None
+    if command not in ("stab", "qas-iso", "reduce") and draw(st.booleans()):
+        digits = draw(st.integers(-20, 40))
+        argv += ["--digits", str(digits)]
+    return argv + ["--format", draw(st.sampled_from(("text", "json")))], digits
+
+
+@settings(max_examples=150)
+@given(cli_calls())
+def test_random_text_ends_in_an_answer_or_a_typed_error(call):
+    argv, digits = call
+    rc = outcome(argv)
+    if digits is not None and digits < 0:
+        assert rc == 2
+
+
+@lru_cache(maxsize=None)
+def real_reports():
+    docs = []
+    for argv in (("canon", "xy - 2yx - 1"), ("classify", "sqrt(2)*x^2 + xy - yx + y"),
+                 ("congruent", "xy - 2yx - 1", "yx - 2xy + x")):
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main([*argv, "--format", "json"]) == 0
+        docs.append(json.loads(out.getvalue()))
+    return docs
+
+
+@lru_cache(maxsize=None)
+def shipped_systems():
+    return [load_system(name)[1] for name in available_systems()]
+
+
+@st.composite
+def document_texts(draw, real_documents):
+    """Text of a document file, or None for a file that does not exist."""
+    kind = draw(st.sampled_from(("mutated", "mutated", "mutated", "random", "deep", "text",
+                                 "missing")))
+    if kind == "mutated":
+        return json.dumps(draw(mutated(draw(st.sampled_from(real_documents())))))
+    if kind == "random":
+        return json.dumps(draw(json_values))
+    if kind == "deep":
+        return draw(deep_json)
+    return draw(texts) if kind == "text" else None
+
+
+@pytest.fixture(scope="module")
+def document(tmp_path_factory):
+    return tmp_path_factory.mktemp("documents") / "document.json"
+
+
+def write_document(path, text):
+    if text is None:
+        path.unlink(missing_ok=True)
+    else:
+        path.write_text(text)
+    return str(path)
+
+
+@settings(max_examples=150)
+@given(source=st.sampled_from(("xy - 2yx - 1", "sqrt(2)*x^2 + xy - yx + y")),
+       text=document_texts(real_reports))
+def test_report_documents_end_in_an_answer_or_a_typed_error(document, source, text):
+    outcome(["verify", source, "--report", write_document(document, text)])
+
+
+@settings(max_examples=300)
+@given(word=st.sampled_from(("xy", "yxx", "x^3 y")), text=document_texts(shipped_systems))
+def test_system_documents_end_in_an_answer_or_a_typed_error(document, word, text):
+    outcome(["reduce", word, "--system", write_document(document, text)])
+
+
+QAS_MATRICES = ([[1, 3], ["1/3", 1]],
+                [[1, 2, -1], ["1/2", 1, "sqrt(2)"], [-1, "1/2*sqrt(2)", 1]])
+qas_texts = st.one_of(
+    st.sampled_from(QAS_MATRICES).flatmap(mutated).map(json.dumps),
+    json_values.map(json.dumps),
+    deep_json,
+    texts,
+)
+
+
+@settings(max_examples=150)
+@given(qas_texts, qas_texts | st.sampled_from(QAS_MATRICES).map(json.dumps))
+def test_qas_matrices_end_in_an_answer_or_a_typed_error(left, right):
+    outcome(["qas-iso", left, right])

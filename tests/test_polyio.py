@@ -10,6 +10,7 @@ from quadalg.matrix import Mat2, PAffine, StdFormMatrix, matrix_from_coeffs
 from quadalg.ncrewrite import NCPoly, confluence_smoke, reduce as nc_reduce
 from quadalg.polyio import (
     MAX_EXPONENT,
+    MAX_INT_DIGITS,
     MAX_NESTING,
     PolySyntaxError,
     available_systems,
@@ -146,6 +147,19 @@ class TestParseErrors:
         assert exc.value.position == 7
         assert list(parse_poly(f"x^{MAX_EXPONENT}").words()) == ["x" * MAX_EXPONENT]
 
+    def test_integer_digit_cap(self):
+        assert MAX_INT_DIGITS <= 4300
+        longest = "7" * MAX_INT_DIGITS
+        assert parse_scalar(longest) == int(longest)
+        with pytest.raises(PolySyntaxError, match="more than 4300 digits") as exc:
+            parse_poly("x + 2*" + "7" * 5000 + "*y")
+        assert exc.value.position == 7
+
+    def test_non_ascii_digits(self):
+        assert parse_scalar("\u0663") == 3  # ARABIC-INDIC DIGIT THREE
+        with pytest.raises(PolySyntaxError, match="column 2"):
+            parse_poly("x\u00b2")  # SUPERSCRIPT TWO is a digit but not decimal
+
 
 class TestParseScalar:
     @pytest.mark.parametrize(
@@ -277,6 +291,24 @@ class TestDocuments:
         assert back.map.translation == w.map.translation
         assert back.scale == w.scale
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.update(P1=d["P1"][:1]), "P1 must be 2x2"),
+        (lambda d: d.update(P1=[["1", "0"], ["0"]]), "P1 must be 2x2"),
+        (lambda d: d.update(P1=[["1", 0], ["0", "1"]]), "P1 entries must be scalar text"),
+        (lambda d: d.update(P2=["0"]), "P2 must have 2 entries"),
+        (lambda d: d.pop("alpha"), "no 'alpha' entry"),
+        (lambda d: d.update(alpha=None), "alpha entries must be scalar text"),
+    ], ids=["one-row", "short-row", "number", "short-column", "missing", "null"])
+    def test_witness_document_shape_errors_name_the_entry(self, edit, message):
+        doc = witness_document(SfWitness.identity())
+        edit(doc)
+        with pytest.raises(ValueError, match=message):
+            witness_from_document(doc)
+
+    def test_matrix_document_must_be_an_object(self):
+        with pytest.raises(ValueError, match="no 'homogeneous' entry"):
+            matrix_from_document([1, 2])
+
     def test_witness_document_fields_are_text(self):
         w = SfWitness.identity()
         doc = witness_document(w)
@@ -404,6 +436,18 @@ class TestSystems:
     def test_unknown_system_lists_fixtures(self):
         with pytest.raises(ValueError, match="h_kx"):
             load_system("nope")
+
+    @pytest.mark.parametrize("text, message", [
+        ("[1]", "no 'relations' entry"),
+        ('{"precedence": "y<x", "relations": [5]}', "list of polynomial texts"),
+        ('{"precedence": 5, "relations": []}', "precedence must be"),
+        ("[" * 100_000, "nests too deeply"),
+    ], ids=["list", "number", "precedence", "deep"])
+    def test_malformed_system_file(self, tmp_path, text, message):
+        src = tmp_path / "sys.json"
+        src.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            load_system(str(src))
 
     def test_load_from_path(self, tmp_path):
         src = tmp_path / "sys.json"

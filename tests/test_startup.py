@@ -1,0 +1,40 @@
+"""Start-up contract: importing the package and its CLI loads no stdlib module
+that only annotations, dataclass decorators or zip-aware resource readers
+would need."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# dataclasses pulls in inspect (and ast, dis, tokenize); importlib.resources
+# pulls in zipfile and tempfile (and shutil, bz2, lzma)
+HEAVY = ("dataclasses", "typing", "importlib.resources", "inspect", "zipfile", "tempfile")
+
+PROBE = """
+import json, sys
+before = set(sys.modules)
+import quadalg, quadalg.cli
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_import_loads_no_heavy_stdlib_module():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", PROBE], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    added = set(json.loads(proc.stdout))
+    assert "quadalg.cli" in added
+    assert added.isdisjoint(HEAVY), sorted(added & set(HEAVY))
+
+
+def test_fixtures_are_read_from_the_package_directory():
+    import quadalg.polyio as polyio
+
+    assert polyio._SYSTEM_DIR == SRC / "quadalg" / "data" / "systems"
+    assert polyio.available_systems() == tuple(
+        sorted(p.stem for p in polyio._SYSTEM_DIR.glob("*.json"))
+    )
