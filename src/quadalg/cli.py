@@ -34,7 +34,7 @@ from .polyio import (
     witness_from_document,
 )
 from .algebra import ENVV_BRIDGE, qas_iso, sf_from_poly
-from .scalar import ScalarError, approx, enclosure_decimal
+from .scalar import MAX_APPROX_DIGITS, ScalarError, approx, enclosure_decimal
 from .sfcanon import verify_witness
 
 
@@ -46,15 +46,35 @@ def _digits(text: str) -> int:
         value = -1
     if value < 0:
         raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    if value > MAX_APPROX_DIGITS:
+        raise argparse.ArgumentTypeError(f"expected at most {MAX_APPROX_DIGITS}, got {text!r}")
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that builds a help formatter only to print help or a
+    usage error.
+
+    `ArgumentParser.add_argument` builds a `HelpFormatter` for every argument,
+    only to check metavar tuples, which no argument here has; each one asks the
+    terminal for its width, and the first imports `shutil`.  Adding through
+    the parser's own argument groups skips that check.  Subparsers are built
+    from this class too.
+    """
+
+    def add_argument(self, *args, **kwargs):
+        optional = bool(args) and args[0][:1] in self.prefix_chars
+        group = self._optionals if optional else self._positionals
+        return group.add_argument(*args, **kwargs)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quadalg",
         description="Classify two-generator quadratic algebras and their homogenizations.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # an explicit prog keeps add_subparsers from building a formatter for it
+    sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog)
 
     def add(name: str, help_text: str, polys: int = 0) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)

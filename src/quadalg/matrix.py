@@ -37,6 +37,8 @@ class DegreeError(ValueError):
 
 
 def _s(x) -> Scalar:
+    if x.__class__ is Scalar:
+        return x
     if isinstance(x, float):
         raise TypeError("floats are not exact; pass int, Fraction, or Scalar")
     return as_scalar(x)
@@ -206,16 +208,11 @@ class Mat3:
 
     def __mul__(self, other):
         if isinstance(other, Mat3):
+            cols = tuple(zip(*other.rows))
             return Mat3(
                 tuple(
-                    tuple(
-                        sum(
-                            (self.rows[i][k] * other.rows[k][j] for k in range(3)),
-                            Scalar.zero(),
-                        )
-                        for j in range(3)
-                    )
-                    for i in range(3)
+                    tuple(r0 * c0 + r1 * c1 + r2 * c2 for c0, c1, c2 in cols)
+                    for r0, r1, r2 in self.rows
                 )
             )
         if isinstance(other, (Scalar, int, Fraction)):

@@ -12,7 +12,9 @@ The representation of a depth-k element is a nested pair ``(a, b)`` standing
 for ``a + b*sqrt(r_k)`` with ``a``, ``b`` at depth k-1 and plain ``Fraction``
 values at depth 0.  Rational data never enters that recursion at full depth:
 a rational operand of +, - or * touches the innermost slot or scales every
-slot, and a rational radicand multiplies as a plain ``Fraction``.
+slot, and a rational radicand multiplies as a plain ``Fraction``.  Two
+rational operands never enter it at all: the operators work on their
+``Fraction``s directly.
 """
 
 from __future__ import annotations
@@ -27,6 +29,10 @@ MAX_TOWER_DEPTH = 4
 # decisive; exact nonzero data always decides well below this cap, so
 # passing it raises ScalarError instead of spinning.
 MAX_ENCLOSURE_DIGITS = 1 << 16
+
+# Largest number of decimal digits that Scalar.approx (and so the CLI's
+# --digits) will print.
+MAX_APPROX_DIGITS = 200
 
 RationalLike = int | Fraction
 
@@ -521,17 +527,17 @@ class Scalar:
 
     # -- constructors
 
-    @classmethod
-    def from_fraction(cls, q: RationalLike) -> "Scalar":
-        return cls((), Fraction(q))
+    @staticmethod
+    def from_fraction(q: RationalLike) -> "Scalar":
+        return _normalised((), Fraction(q))
 
-    @classmethod
-    def zero(cls) -> "Scalar":
-        return cls((), Fraction(0))
+    @staticmethod
+    def zero() -> "Scalar":
+        return _normalised((), Fraction(0))
 
-    @classmethod
-    def one(cls) -> "Scalar":
-        return cls((), Fraction(1))
+    @staticmethod
+    def one() -> "Scalar":
+        return _normalised((), Fraction(1))
 
     # -- structure
 
@@ -544,16 +550,19 @@ class Scalar:
             return self._elt
         return None
 
+    # A normalised value over a nonempty tower has a nonzero top slot, and
+    # its tower's radicands are verified non-squares, so it is irrational:
+    # only a depth-0 value can be zero or equal a rational.
+
     def is_zero(self) -> bool:
-        return _is_zero(self._elt, len(self._tower))
+        return not self._tower and not self._elt
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return bool(self._tower) or bool(self._elt)
 
     # -- arithmetic
 
     def _with_common(self, other):
-        other = as_scalar(other)
         ta, tb = self._tower, other._tower
         if _same_tower(ta, tb):
             return ta, self._elt, other._elt
@@ -568,20 +577,27 @@ class Scalar:
 
     # A rational (depth-0) operand never joins a tower: it touches only the
     # innermost rational slot of a sum and scales every slot of a product.
+    # Either way the top slot stays nonzero, so the result is normalised.
 
     def _plus_rational(self, fr):
-        return Scalar(self._tower, _add_rational(self._elt, fr, len(self._tower)))
+        return _normalised(self._tower, _add_rational(self._elt, fr, len(self._tower)))
 
     def _times_rational(self, fr):
         if not fr:
-            return Scalar.zero()
-        return Scalar(self._tower, _scale(self._elt, fr, len(self._tower)))
+            return _normalised((), fr)
+        return _normalised(self._tower, _scale(self._elt, fr, len(self._tower)))
+
+    # Each operator tests for an exact Scalar first; two depth-0 operands
+    # work on their Fractions directly.
 
     def __add__(self, other):
-        if not isinstance(other, (Scalar, int, Fraction)):
-            return NotImplemented
-        other = as_scalar(other)
+        if other.__class__ is not Scalar:
+            other = _operand(other)
+            if other is None:
+                return NotImplemented
         if not other._tower:
+            if not self._tower:
+                return _normalised((), self._elt + other._elt)
             return self._plus_rational(other._elt)
         if not self._tower:
             return other._plus_rational(self._elt)
@@ -591,13 +607,16 @@ class Scalar:
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(self._tower, _neg(self._elt, len(self._tower)))
+        return _normalised(self._tower, _neg(self._elt, len(self._tower)))
 
     def __sub__(self, other):
-        if not isinstance(other, (Scalar, int, Fraction)):
-            return NotImplemented
-        other = as_scalar(other)
+        if other.__class__ is not Scalar:
+            other = _operand(other)
+            if other is None:
+                return NotImplemented
         if not other._tower:
+            if not self._tower:
+                return _normalised((), self._elt - other._elt)
             return self._plus_rational(-other._elt)
         if not self._tower:
             return (-other)._plus_rational(self._elt)
@@ -608,10 +627,13 @@ class Scalar:
         return (-self) + other
 
     def __mul__(self, other):
-        if not isinstance(other, (Scalar, int, Fraction)):
-            return NotImplemented
-        other = as_scalar(other)
+        if other.__class__ is not Scalar:
+            other = _operand(other)
+            if other is None:
+                return NotImplemented
         if not other._tower:
+            if not self._tower:
+                return _normalised((), self._elt * other._elt)
             return self._times_rational(other._elt)
         if not self._tower:
             return other._times_rational(self._elt)
@@ -621,14 +643,17 @@ class Scalar:
     __rmul__ = __mul__
 
     def inverse(self) -> "Scalar":
-        if self.is_zero():
-            raise ZeroDivisionError("division by zero scalar")
+        if not self._tower:
+            if not self._elt:
+                raise ZeroDivisionError("division by zero scalar")
+            return _normalised((), 1 / self._elt)
         return Scalar(self._tower, _inv(self._elt, len(self._tower), self._tower))
 
     def __truediv__(self, other):
-        if not isinstance(other, (Scalar, int, Fraction)):
+        other = _operand(other)
+        if other is None:
             return NotImplemented
-        return self * as_scalar(other).inverse()
+        return self * other.inverse()
 
     def __rtruediv__(self, other):
         return as_scalar(other) * self.inverse()
@@ -648,8 +673,12 @@ class Scalar:
         return out
 
     def __eq__(self, other):
-        if not isinstance(other, (Scalar, int, Fraction)):
-            return NotImplemented
+        if other.__class__ is not Scalar:
+            other = _operand(other)
+            if other is None:
+                return NotImplemented
+        if not self._tower and not other._tower:
+            return self._elt == other._elt
         return (self - other).is_zero()
 
     __hash__ = None
@@ -658,8 +687,8 @@ class Scalar:
 
     def approx(self, digits: int = 30) -> Enclosure:
         """Enclosure of width below 10**-digits in each coordinate."""
-        if digits > 200:
-            raise ValueError("approx supports at most 200 digits")
+        if digits > MAX_APPROX_DIGITS:
+            raise ValueError("approx supports at most %d digits" % MAX_APPROX_DIGITS)
         bound = Fraction(1, 10 ** digits)
         d = digits + 5
         while True:
@@ -685,12 +714,36 @@ class Scalar:
         return f"Scalar({format_scalar(self)})"
 
 
-def as_scalar(x) -> Scalar:
+_new_scalar = object.__new__
+_set_tower = Scalar._tower.__set__
+_set_elt = Scalar._elt.__set__
+
+
+def _normalised(tower, elt) -> Scalar:
+    """A Scalar from a pair that is normalised already: tower is empty or
+    elt's top slot is nonzero.  Sets the slots without Scalar.__init__."""
+    s = _new_scalar(Scalar)
+    _set_tower(s, tower)
+    _set_elt(s, elt)
+    return s
+
+
+def _operand(x) -> Scalar | None:
+    """x as a Scalar when it is one or an int or Fraction, else None."""
     if isinstance(x, Scalar):
         return x
     if isinstance(x, (int, Fraction)):
         return Scalar.from_fraction(x)
-    raise TypeError(f"cannot interpret {x!r} as a scalar")
+    return None
+
+
+def as_scalar(x) -> Scalar:
+    if x.__class__ is Scalar:
+        return x
+    s = _operand(x)
+    if s is None:
+        raise TypeError(f"cannot interpret {x!r} as a scalar")
+    return s
 
 
 def is_zero(s: Scalar) -> bool:

@@ -15,7 +15,6 @@ against the input before being returned.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 
 from .congruence2 import (

@@ -1,5 +1,6 @@
 """End-to-end command dispatch: exit codes, text lines, machine documents."""
 
+import argparse
 import io
 import json
 import os
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quadalg.cli import main
+from quadalg.cli import _build_parser, main
 from quadalg.polyio import (
     available_systems,
     load_system,
@@ -21,7 +22,12 @@ from quadalg.polyio import (
     witness_from_document,
 )
 from quadalg.sfcanon import verify_witness
+from quadalg.scalar import MAX_APPROX_DIGITS
 from quadalg.algebra import sf_from_poly
+
+HELP_CASES = json.loads(
+    (Path(__file__).resolve().parent / "data" / "cli_golden_help.json").read_text()
+)
 
 
 def run(capsys, *argv):
@@ -280,6 +286,28 @@ class TestErrorsAndPlumbing:
         assert proc.stderr == b""
 
 
+class TestParser:
+    """`tests/data/cli_golden_help.json` holds `--help` for the program and
+    each subcommand and a set of usage errors (argv, exit code, stdout,
+    stderr), saved at COLUMNS=80 from the code before the parser stopped
+    building a help formatter for every argument."""
+
+    def test_an_answer_builds_no_help_formatter(self, capsys, monkeypatch):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a help formatter was built")
+
+        monkeypatch.setattr(argparse.HelpFormatter, "__init__", refuse)
+        _build_parser()
+        rc, out, _ = run(capsys, "classify", "xy - yx")
+        assert rc == 0 and out.startswith("algebra: OQ\n")
+
+    @pytest.mark.parametrize("case", HELP_CASES,
+                             ids=[" ".join(c["argv"]) or "(none)" for c in HELP_CASES])
+    def test_help_and_usage_text_are_unchanged(self, capsys, monkeypatch, case):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert run(capsys, *case["argv"]) == (case["exit"], case["stdout"], case["stderr"])
+
+
 class TestBoundaryInputs:
     """Inputs that once ended in a traceback or an interpreter message."""
 
@@ -323,6 +351,14 @@ class TestBoundaryInputs:
         assert "--digits" in err
         rc, out, _ = run(capsys, "classify", "xy - 2yx", "--digits", "0")
         assert rc == 0 and "approx" not in out
+
+    @pytest.mark.parametrize("relation", ["2*xy - yx", "sqrt(2)*xy - yx"])
+    def test_digits_above_the_cap_is_usage_error(self, capsys, relation):
+        rc, _, err = run(capsys, "classify", relation, "--digits", str(MAX_APPROX_DIGITS + 1))
+        assert rc == 2
+        assert f"--digits: expected at most {MAX_APPROX_DIGITS}" in err
+        rc, out, _ = run(capsys, "classify", relation, "--digits", str(MAX_APPROX_DIGITS))
+        assert rc == 0
 
     def test_long_integer_is_syntax_error(self, capsys):
         rc, _, err = run(capsys, "classify", "xy - " + "7" * 5000 + "*yx")
@@ -433,7 +469,7 @@ def cli_calls(draw):
         argv += ["--system", draw(st.sampled_from(("u", "h_kx")) | texts)]
     digits = None
     if command not in ("stab", "qas-iso", "reduce") and draw(st.booleans()):
-        digits = draw(st.integers(-20, 40))
+        digits = draw(st.integers(-20, 40) | st.integers(MAX_APPROX_DIGITS - 5, 260))
         argv += ["--digits", str(digits)]
     return argv + ["--format", draw(st.sampled_from(("text", "json")))], digits
 
@@ -443,7 +479,7 @@ def cli_calls(draw):
 def test_random_text_ends_in_an_answer_or_a_typed_error(call):
     argv, digits = call
     rc = outcome(argv)
-    if digits is not None and digits < 0:
+    if digits is not None and not 0 <= digits <= MAX_APPROX_DIGITS:
         assert rc == 2
 
 

@@ -1,9 +1,11 @@
 """Fast paths pinned to the generic code they replace.
 
-Scalars are drawn at tower depth 0-2 from combinations of sqrt(2), sqrt(3)
-and sqrt(-1).  A rational operand of +, - and * must give the same tower and
-the same element as lifting it and running the generic arithmetic; a level
-with a rational radicand must multiply like one without that shortcut; the
+Scalars are drawn at tower depth 0-2 from combinations of sqrt(2), sqrt(3),
+sqrt(-1) and the nested sqrt(1 + sqrt(2)).  Two depth-0 operands must give
+what their Fractions give; a rational operand of +, -, * and / must give the
+same tower and the same element as lifting it and running the generic
+arithmetic under the public, normalising constructor; a level with a
+rational radicand must multiply like one without that shortcut; the
 closed-form congruence must equal the 3x3 product it replaces; and the
 witness checker must not depend on the closed form at all.
 """
@@ -15,6 +17,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from unittest import mock
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import quadalg.matrix as matrix
@@ -26,7 +29,7 @@ from quadalg.matrix import (
     apply_congruence,
     sf_map,
 )
-from quadalg.scalar import Scalar, _add, _inv, _mul, _sub, as_scalar, sqrt_extend
+from quadalg.scalar import Scalar, _add, _inv, _mul, _neg, _sub, as_scalar, sqrt_extend
 from quadalg.sfcanon import (
     SfWitness,
     orbit_sample_with_witness,
@@ -60,17 +63,23 @@ def combine(base, coeffs):
 
 
 tower_scalars = st.builds(combine, bases, coefficients)
+NESTED = basis(ROOTS[0], sqrt_extend(1 + ROOTS[0]))
+operands = tower_scalars | st.builds(combine, st.just(NESTED), coefficients)
 
-rationals = st.one_of(
-    st.integers(min_value=-5, max_value=5),
+fractions = st.one_of(
     small,
-    small.map(as_scalar),
+    st.builds(Fraction, st.integers(-(10**40), 10**40), st.integers(1, 10**12)),
 )
+exact_rationals = st.one_of(
+    st.integers(min_value=-5, max_value=5), st.integers(-(10**30), 10**30), fractions
+)
+rationals = exact_rationals | fractions.map(as_scalar)
 
 GENERIC = {
     operator.add: lambda x, y, depth, tower: _add(x, y, depth),
     operator.sub: lambda x, y, depth, tower: _sub(x, y, depth),
     operator.mul: _mul,
+    operator.truediv: lambda x, y, depth, tower: _mul(x, _inv(y, depth, tower), depth, tower),
 }
 
 
@@ -89,14 +98,54 @@ def same_representation(s, t):
     )
 
 
-@settings(max_examples=60)
-@given(tower_scalars, rationals, st.sampled_from(list(GENERIC)))
+@settings(max_examples=150)
+@given(exact_rationals, exact_rationals, st.sampled_from(list(GENERIC)))
+def test_rational_operands_match_fractions(p, q, op):
+    """Scalar with Scalar, and Scalar with int or Fraction on either side."""
+    for left, right in ((as_scalar(p), as_scalar(q)), (as_scalar(p), q), (p, as_scalar(q))):
+        if op is operator.truediv and q == 0:
+            with pytest.raises(ZeroDivisionError):
+                op(left, right)
+        else:
+            got = op(left, right)
+            assert got.tower_depth == 0
+            assert type(got.as_fraction()) is Fraction
+            assert got.as_fraction() == op(Fraction(p), Fraction(q))
+        assert (left == right) is (p == q)
+    s = as_scalar(p)
+    assert (-s).tower_depth == 0 and (-s).as_fraction() == -p
+    assert s.is_zero() is (not s) is (p == 0)
+
+
+@settings(max_examples=100)
+@given(operands, rationals, st.sampled_from(list(GENERIC)))
 def test_rational_operand_matches_generic(a, q, op):
     for left, right in ((a, q), (q, a)):
+        if op is operator.truediv and not right:
+            continue
         fast = op(left, right)
         slow = generic(op, left, right)
         assert fast == slow
         assert same_representation(fast, slow)
+    assert same_representation(-a, Scalar(a._tower, _neg(a._elt, a.tower_depth)))
+    assert (a == q) is (a.tower_depth == 0 and a.as_fraction() == as_scalar(q).as_fraction())
+    assert a.is_zero() is (not a) is (a.tower_depth == 0 and a.as_fraction() == 0)
+
+
+depth1_scalars = st.builds(
+    lambda r, c, d: c + d * r, st.sampled_from(ROOTS), small, small.filter(bool)
+)
+
+
+@settings(max_examples=40)
+@given(depth1_scalars | operands)
+def test_cancellation_comes_back_at_depth_0(a):
+    for zero in (a - a, a + (-a), a * 0, 0 * a, (a - a) * a):
+        assert zero.tower_depth == 0 and zero.as_fraction() == 0
+        assert zero.is_zero() and not zero and zero == 0
+    if a:
+        for one in (a / a, a * a.inverse(), a.inverse() * a):
+            assert one.tower_depth == 0 and one.as_fraction() == 1
 
 
 def without_rational_radicands(tower):

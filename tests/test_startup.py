@@ -11,8 +11,10 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # dataclasses pulls in inspect (and ast, dis, tokenize); importlib.resources
-# pulls in zipfile and tempfile (and shutil, bz2, lzma)
-HEAVY = ("dataclasses", "typing", "importlib.resources", "inspect", "zipfile", "tempfile")
+# pulls in zipfile and tempfile (and shutil, bz2, lzma); random is needed only
+# by annotations (on 3.11 the interpreter has loaded it before the probe)
+HEAVY = ("dataclasses", "typing", "importlib.resources", "inspect", "zipfile", "tempfile",
+         "random")
 
 PROBE = """
 import json, sys
