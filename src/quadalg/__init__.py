@@ -63,8 +63,8 @@ from .ncrewrite import (
     NotOrientableError,
     RewriteSystem,
     Rule,
-    confluence_smoke,
     leading_word,
+    locally_confluent,
     orient,
     parse_precedence,
     reduce,

@@ -118,10 +118,10 @@ def kappa(m: Mat2) -> Scalar:
 def _canonical_q_from_kappa(k: Scalar) -> tuple[Scalar, Scalar]:
     """(q, sigma) with q the chosen root of (k+1)t^2 + 2(k-1)t + (k+1) = 0.
 
-    sigma is the canonical square root of -k, and q = (1+sigma)/(1-sigma).
+    sigma is the principal square root of -k, and q = (1+sigma)/(1-sigma).
     This picks the root with |q| >= 1, breaking the |q| = 1 tie towards
     nonnegative imaginary part: |1+s|^2 - |1-s|^2 = 4 Re(s) >= 0 for the
-    canonical branch, with equality only when s is positive imaginary.
+    principal root, with equality only when s is positive imaginary.
     """
     sigma = sqrt_extend(-k)
     q = (1 + sigma) / (1 - sigma)

@@ -74,7 +74,7 @@ class Mat2:
     def rows(self):
         return ((self.a, self.b), (self.c, self.d))
 
-    def entries(self) -> Iterable[Scalar]:
+    def entries(self) -> tuple[Scalar, ...]:
         return (self.a, self.b, self.c, self.d)
 
     def __add__(self, other: "Mat2") -> "Mat2":
@@ -154,9 +154,7 @@ class Mat2:
     def __eq__(self, other):
         if not isinstance(other, Mat2):
             return NotImplemented
-        return all(
-            (p - q).is_zero() for p, q in zip(self.entries(), other.entries())
-        )
+        return self.entries() == other.entries()
 
     __hash__ = None
 
@@ -198,14 +196,6 @@ class Mat3:
             )
         )
 
-    def __sub__(self, other: "Mat3") -> "Mat3":
-        return Mat3(
-            tuple(
-                tuple(x - y for x, y in zip(r1, r2))
-                for r1, r2 in zip(self.rows, other.rows)
-            )
-        )
-
     def __mul__(self, other):
         if isinstance(other, Mat3):
             cols = tuple(zip(*other.rows))
@@ -234,7 +224,7 @@ class Mat3:
     def __eq__(self, other):
         if not isinstance(other, Mat3):
             return NotImplemented
-        return (self - other).is_zero()
+        return self.rows == other.rows
 
     __hash__ = None
 
@@ -271,12 +261,7 @@ class StdFormMatrix:
     def __eq__(self, other):
         if not isinstance(other, StdFormMatrix):
             return NotImplemented
-        return (
-            self.hom == other.hom
-            and (self.lin[0] - other.lin[0]).is_zero()
-            and (self.lin[1] - other.lin[1]).is_zero()
-            and (self.const - other.const).is_zero()
-        )
+        return (self.hom, self.lin, self.const) == (other.hom, other.lin, other.const)
 
     __hash__ = None
 
@@ -319,9 +304,7 @@ class PAffine:
     def __eq__(self, other):
         if not isinstance(other, PAffine):
             return NotImplemented
-        return self.linear == other.linear and all(
-            (p - q).is_zero() for p, q in zip(self.translation, other.translation)
-        )
+        return (self.linear, self.translation) == (other.linear, other.translation)
 
     __hash__ = None
 

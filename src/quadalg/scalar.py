@@ -4,9 +4,16 @@ A :class:`Scalar` is an element of a field Q(sqrt(s1))(sqrt(s2))...(sqrt(sk))
 where each radicand s_i is a nonzero element of the previous field that is not
 a square there.  All arithmetic is exact; every value is a complex number and
 zero testing is a structural check (sound because radicands are verified
-non-squares on admission).  Decimal enclosures exist only for printing, for
-picking a deterministic branch of each square root, and for cross-checks; no
-arithmetic decision depends on them.
+non-squares on admission).
+
+Each level's root is the principal square root of its radicand: the root
+with positive real part, or with zero real part and positive imaginary part.
+Decimal enclosures tell which root that is (`_half_plane`), on the fixed
+ladder of 30, 60, ... digits, and a real part too small to tell from zero
+there counts as zero.  Enclosures otherwise serve only printing and
+cross-checks; no other arithmetic decision depends on them.  A tower holds
+only its radicands, so it is an immutable value: two towers with equal
+radicands denote the same roots.
 
 The representation of a depth-k element is a nested pair ``(a, b)`` standing
 for ``a + b*sqrt(r_k)`` with ``a``, ``b`` at depth k-1 and plain ``Fraction``
@@ -206,21 +213,6 @@ def _csqrt(re: Fraction, im: Fraction, digits: int):
     return im / (2 * b), b
 
 
-class _RootPin:
-    """Refinable enclosure fixing which branch a tower level's root denotes."""
-
-    __slots__ = ("re", "im", "rad")
-
-    def __init__(self, re, im, rad):
-        self.re = re
-        self.im = im
-        self.rad = rad
-
-    def update(self, re, im, rad):
-        if rad < self.rad:
-            self.re, self.im, self.rad = re, im, rad
-
-
 def _rational_value(e, depth) -> Fraction | None:
     """The Fraction that e equals, or None when e is irrational."""
     while depth > 0:
@@ -232,15 +224,15 @@ def _rational_value(e, depth) -> Fraction | None:
 
 
 class _Level:
-    """One tower level: its radicand (an element one level down), that
-    radicand as a Fraction when it is rational, and the root's branch pin."""
+    """One tower level: its radicand (an element one level down) and that
+    radicand as a Fraction when it is rational.  The level's root is the
+    principal square root of the radicand; nothing else is stored."""
 
-    __slots__ = ("radicand", "rational", "pin")
+    __slots__ = ("radicand", "rational")
 
-    def __init__(self, radicand, pin, depth):
+    def __init__(self, radicand, depth):
         self.radicand = radicand
         self.rational = _rational_value(radicand, depth)
-        self.pin = pin
 
 
 def _more_digits(d):
@@ -287,44 +279,58 @@ def _root_candidate(tower, idx, digits):
         d = _more_digits(d)
 
 
-def _make_pin(tower, idx) -> _RootPin:
-    """Pick a branch for the root at tower[idx] deterministically.
+def _half_plane(re, im, rad) -> int:
+    """+1 when the ball (re, im, rad) lies in the principal half-plane (real
+    part positive, or else imaginary part positive), -1 when its negative
+    does, 0 when the ball is too wide to tell."""
+    if re - rad > 0:
+        return 1
+    if re + rad < 0:
+        return -1
+    if im - rad > 0:
+        return 1
+    if im + rad < 0:
+        return -1
+    return 0
 
-    Prefers the branch whose enclosure proves a positive real part, falling
-    back to a positive imaginary part; refines until one test is decisive and
-    the enclosure is small against the root's magnitude.
+
+def _root_ball(tower, idx, digits):
+    """Ball around the principal square root of tower[idx]'s radicand.
+
+    The half-plane is settled on the ladder 30, 60, ... digits whatever the
+    precision asked for.  A ball at a higher precision is flipped by the part
+    that settled it, so every precision encloses the same root.
     """
     d = 30
     while True:
         ure, uim, delta = _root_candidate(tower, idx, d)
-        comp = max(abs(ure), abs(uim))
-        if comp > 4 * delta:
-            if ure - delta > 0:
-                return _RootPin(ure, uim, delta)
-            if ure + delta < 0:
-                return _RootPin(-ure, -uim, delta)
-            if uim - delta > 0:
-                return _RootPin(ure, uim, delta)
-            if uim + delta < 0:
-                return _RootPin(-ure, -uim, delta)
+        sign = _half_plane(ure, uim, delta)
+        if sign:
+            break
         d = _more_digits(d)
+    if digits > d:
+        by_real_part = abs(ure) > delta
+        d = digits
+        while True:
+            ure, uim, delta = _root_candidate(tower, idx, d)
+            if by_real_part:
+                sign = _half_plane(ure, 0, delta)
+            else:
+                sign = _half_plane(0, uim, delta)
+            if sign:
+                break
+            d = _more_digits(d)
+    return _Ball(sign * ure, sign * uim, delta)
 
 
-def _root_ball(tower, idx, digits):
-    pin = tower[idx].pin
-    d = max(digits, 30)
+def _canonical_sign(tower, elt) -> int:
+    """+1 when the nonzero element elt is in the principal half-plane, else -1."""
+    d = 30
     while True:
-        ure, uim, delta = _root_candidate(tower, idx, d)
-        thresh = (pin.rad + delta) ** 2
-        dp = (ure - pin.re) ** 2 + (uim - pin.im) ** 2
-        dm = (ure + pin.re) ** 2 + (uim + pin.im) ** 2
-        if (dp <= thresh) != (dm <= thresh):
-            if dm <= thresh:
-                ure, uim = -ure, -uim
-            pin.update(ure, uim, delta)
-            return _Ball(ure, uim, delta)
-        # pins are created with radius under a quarter of the root size, so
-        # shrinking the candidate alone is enough to separate the branches
+        ball = _eval_ball(elt, len(tower), tower, d)
+        sign = _half_plane(ball.re, ball.im, ball.rad)
+        if sign:
+            return sign
         d = _more_digits(d)
 
 
@@ -408,57 +414,34 @@ def _transplant(e, depth, maps, target_tower):
     return _add(ea, _mul(eb, maps[depth - 1], td, target_tower), td)
 
 
-def _roots_match(tower_a, elt_a, tower_b, idx_b) -> bool:
-    """Whether elt_a (over tower_a) equals tower_b's level-idx_b root (not its
-    negative).  The two values are equal or negatives of each other."""
-    d = 40
-    da = len(tower_a)
-    while True:
-        ba = _eval_ball(elt_a, da, tower_a, d)
-        bb = _root_ball(tower_b, idx_b, d)
-        thresh = (ba.rad + bb.rad) ** 2
-        dp = (ba.re - bb.re) ** 2 + (ba.im - bb.im) ** 2
-        dm = (ba.re + bb.re) ** 2 + (ba.im + bb.im) ** 2
-        if (dp <= thresh) != (dm <= thresh):
-            return dp <= thresh
-        d = _more_digits(d)
-
-
 def _merge_towers(ta, tb):
     """Common refinement of two towers.
 
     Returns (tower, maps) where maps[j] expresses tb's level-j root over the
-    merged tower.  ta embeds as a prefix.
+    merged tower.  ta embeds as a prefix.  Every root involved is principal,
+    so a root found inside the tower takes the principal sign, and a new
+    level over a radicand equal to tb's has tb's root as its own.
     """
     result = ta
     maps = []
     for j, lvl in enumerate(tb):
+        depth = len(result)
         r_hat = _transplant(lvl.radicand, j, maps, result)
-        t = _sqrt_in_tower(r_hat, len(result), result)
+        t = _sqrt_in_tower(r_hat, depth, result)
         if t is not None:
-            if not _roots_match(result, t, tb, j):
-                t = _neg(t, len(result))
+            if _canonical_sign(result, t) < 0:
+                t = _neg(t, depth)
             maps.append(t)
-        else:
-            if len(result) >= MAX_TOWER_DEPTH:
-                raise TowerDepthError(
-                    "merging scalars would exceed the tower depth budget of %d"
-                    % MAX_TOWER_DEPTH
-                )
-            pin = _make_pin_for_radicand(result, r_hat)
-            grown = result + (_Level(r_hat, pin, len(result)),)
-            new_root = (_zero(len(result)), _lift(Fraction(1), 0, len(result)))
-            if not _roots_match(grown, new_root, tb, j):
-                new_root = _neg(new_root, len(grown))
-            maps = [_lift(m, len(result), len(grown)) for m in maps]
-            maps.append(new_root)
-            result = grown
+            continue
+        if depth >= MAX_TOWER_DEPTH:
+            raise TowerDepthError(
+                "merging scalars would exceed the tower depth budget of %d"
+                % MAX_TOWER_DEPTH
+            )
+        result = result + (_Level(r_hat, depth),)
+        maps = [_lift(m, depth, depth + 1) for m in maps]
+        maps.append((_zero(depth), _lift(Fraction(1), 0, depth)))
     return result, maps
-
-
-def _make_pin_for_radicand(tower_prefix, radicand):
-    probe = tower_prefix + (_Level(radicand, None, len(tower_prefix)),)
-    return _make_pin(probe, len(tower_prefix))
 
 
 # ---------------------------------------------------------------------------
@@ -754,28 +737,8 @@ def approx(s: Scalar, digits: int = 30) -> Enclosure:
     return as_scalar(s).approx(digits)
 
 
-def _canonical_sign(s: Scalar) -> int:
-    """+1 if s itself is the canonical branch choice, else -1 (s nonzero).
-
-    Canonical means: provably positive real part, with positive imaginary
-    part as the tie break.
-    """
-    d = 30
-    while True:
-        ball = _eval_ball(s._elt, len(s._tower), s._tower, d)
-        if ball.re - ball.rad > 0:
-            return 1
-        if ball.re + ball.rad < 0:
-            return -1
-        if ball.im - ball.rad > 0:
-            return 1
-        if ball.im + ball.rad < 0:
-            return -1
-        d = _more_digits(d)
-
-
 def sqrt_extend(s: Scalar) -> Scalar:
-    """The canonical square root of s, extending the tower when needed.
+    """The principal square root of s, extending the tower when needed.
 
     Within the existing tower the root is found by the recursive square test;
     otherwise a new level is admitted (radicand recorded as a verified
@@ -789,7 +752,7 @@ def sqrt_extend(s: Scalar) -> Scalar:
     t = _sqrt_in_tower(s._elt, depth, tower)
     if t is not None:
         root = Scalar(tower, t)
-        if _canonical_sign(root) < 0:
+        if _canonical_sign(root._tower, root._elt) < 0:
             root = -root
         return root
     if depth >= MAX_TOWER_DEPTH:
@@ -797,8 +760,7 @@ def sqrt_extend(s: Scalar) -> Scalar:
             "square root of %s needs tower depth %d, budget is %d"
             % (s, depth + 1, MAX_TOWER_DEPTH)
         )
-    pin = _make_pin_for_radicand(tower, s._elt)
-    grown = tower + (_Level(s._elt, pin, depth),)
+    grown = tower + (_Level(s._elt, depth),)
     return Scalar(grown, (_zero(depth), _lift(Fraction(1), 0, depth)))
 
 

@@ -262,14 +262,18 @@ def sf_congruent(
     return witness is not None, witness
 
 
-def _rand_fraction(rng: random.Random) -> Fraction:
+def _rand_fraction(rng) -> Fraction:
     return Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2)))
 
 
 def orbit_sample_with_witness(
-    m: StdFormMatrix, rng: random.Random | None
+    m: StdFormMatrix, rng
 ) -> tuple[StdFormMatrix, SfWitness]:
-    """Random equivalent matrix plus the witness that generated it."""
+    """Random equivalent matrix plus the witness that generated it.
+
+    rng is a random.Random, or None for m itself with the identity witness.
+    It stays unannotated so that the module never imports random.
+    """
     if rng is None:
         return m, SfWitness.identity()
     while True:
@@ -293,8 +297,9 @@ def orbit_sample_with_witness(
     return out, witness
 
 
-def orbit_sample(
-    m: StdFormMatrix, rng: random.Random | None
-) -> StdFormMatrix:
-    """Random member of the equivalence class of m (m itself when rng is None)."""
+def orbit_sample(m: StdFormMatrix, rng) -> StdFormMatrix:
+    """Random member of the equivalence class of m (m itself when rng is None).
+
+    rng is a random.Random or None, as for orbit_sample_with_witness.
+    """
     return orbit_sample_with_witness(m, rng)[0]

@@ -11,8 +11,8 @@ from quadalg.ncrewrite import (
     NotOrientableError,
     Rule,
     RewriteSystem,
-    confluence_smoke,
     leading_word,
+    locally_confluent,
     orient,
     reduce,
     substitute,
@@ -188,27 +188,33 @@ class TestSubstitute:
 
 class TestConfluenceSmoke:
     def test_single_rule_no_overlap(self):
-        assert confluence_smoke(sys_u(), 6)
+        assert locally_confluent(sys_u())
 
     def test_h_os_overlap_resolves(self):
         sys = sys_h_os()
-        assert confluence_smoke(sys, 6)
+        assert locally_confluent(sys)
         # the overlap word itself lands on z^3 both ways
         assert reduce(Y * X * Z, sys, 6) == Z * Z * Z
 
     def test_h_sxx_passes(self):
-        assert confluence_smoke(sys_h_sxx(), 6)
+        assert locally_confluent(sys_h_sxx())
 
     def test_broken_system_detected(self):
         sys = RewriteSystem((Rule("xy", X), Rule("yx", Y)), "y<x")
-        assert not confluence_smoke(sys, 6)
+        assert not locally_confluent(sys)
+
+    def test_broken_system_has_no_degree_cap_to_hide_behind(self):
+        # a cap of 2 once skipped both overlaps (xyx, yxy) and passed this system
+        sys = RewriteSystem((Rule("xy", X), Rule("yx", Y)), "y<x")
+        with pytest.raises(TypeError):
+            locally_confluent(sys, 2)
+
+    def test_self_overlap_checked(self):
+        # xxx rewrites to yx and to xy, two different normal forms
+        assert not locally_confluent(RewriteSystem((Rule("xx", Y),), "y<x"))
 
     def test_kx_system_has_no_overlaps(self):
-        assert confluence_smoke(sys_h_kx(), 6)
-
-    def test_max_degree_capped(self):
-        with pytest.raises(ValueError):
-            confluence_smoke(sys_u(), 9)
+        assert locally_confluent(sys_h_kx())
 
 
 class TestZeroDivisorIdentities:

@@ -254,3 +254,68 @@ def test_sqrt_negative_squares_back(q):
     r = sqrt_extend(s)
     assert r * r == s
     assert r.approx(20).im_low >= 0
+
+
+# Every tower root is the principal square root of its radicand: positive
+# real part, or zero real part and positive imaginary part.
+
+nonzero_fractions = small_fractions.filter(bool)
+
+
+@st.composite
+def radicands(draw):
+    """A rational radicand of either sign, or a nested one p + q*sqrt(r)."""
+    p = draw(nonzero_fractions)
+    if draw(st.booleans()):
+        return frac(p.numerator, p.denominator)
+    q, r = draw(nonzero_fractions), draw(nonzero_fractions)
+    return as_scalar(p) + as_scalar(q) * sqrt_extend(as_scalar(r))
+
+
+def in_principal_half_plane(enc):
+    if enc.re_low > 0:
+        return True
+    return enc.re_low <= 0 <= enc.re_high and enc.im_low > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(x=radicands())
+def test_sqrt_is_the_principal_root(x):
+    r = sqrt_extend(x)
+    assert r * r == x
+    assert in_principal_half_plane(r.approx(30))
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=nonzero_fractions, b=nonzero_fractions, c=small_fractions, d=small_fractions)
+def test_tower_order_does_not_change_values(a, b, c, d):
+    ra, rb = sqrt_extend(as_scalar(a)), sqrt_extend(as_scalar(b))
+    a_first = (c + ra) * (d + rb) + ra * rb
+    rb, ra = sqrt_extend(as_scalar(b)), sqrt_extend(as_scalar(a))
+    b_first = rb * ra + (d + rb) * (c + ra)
+    assert a_first == b_first
+    assert a_first - b_first == 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(x=radicands(), b=nonzero_fractions, c=small_fractions)
+def test_enclosures_do_not_depend_on_history(x, b, c):
+    s = sqrt_extend(x) + c
+    before = s.approx(30)
+    other = sqrt_extend(as_scalar(b))
+    assert (s + other) - other == s
+    assert (s * other) * other == s * b
+    s.approx(60)
+    assert s.approx(30) == before
+
+
+def test_branch_is_the_same_at_every_precision():
+    # the radicand -1 - eps*i has a real part near 1e-46 in its root, below
+    # what the 30-digit enclosure can tell from zero; the branch that the
+    # first enclosures settle must not flip when more digits are asked for
+    i = sqrt_extend(frac(-1))
+    eps = sqrt_extend(frac(2)) - Fraction(isqrt(2 * 10 ** 90), 10 ** 45)
+    r = sqrt_extend(-1 - eps * i)
+    assert r * r == -1 - eps * i
+    signs = {r.approx(digits).im_low > 0 for digits in (10, 40, 80, 150)}
+    assert len(signs) == 1

@@ -40,3 +40,27 @@ def test_fixtures_are_read_from_the_package_directory():
     assert polyio.available_systems() == tuple(
         sorted(p.stem for p in polyio._SYSTEM_DIR.glob("*.json"))
     )
+
+
+def test_public_annotations_resolve():
+    # annotations are strings until asked for; a name that the module never
+    # imports (to keep start-up light) must not appear in one
+    import typing
+
+    import quadalg
+
+    unresolved = []
+    for name in dir(quadalg):
+        obj = getattr(quadalg, name)
+        if name.startswith("_") or not callable(obj):
+            continue
+        targets = [obj]
+        if isinstance(obj, type):
+            targets += [v for k, v in vars(obj).items()
+                        if callable(v) and (k == "__init__" or not k.startswith("_"))]
+        for target in targets:
+            try:
+                typing.get_type_hints(target)
+            except NameError as exc:
+                unresolved.append(f"{name}: {exc}")
+    assert not unresolved
