@@ -21,6 +21,7 @@ import itertools
 from collections.abc import Sequence
 from functools import lru_cache
 
+from ._value import Value
 from .congruence2 import Label, reciprocal_equivalent
 from .matrix import (
     DegreeError,
@@ -138,16 +139,6 @@ class AlgebraClass(Label):
             raise ValueError("via_v marks only the U family")
         object.__setattr__(self, "via_v", via_v)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return super().__eq__(other) and self.via_v == other.via_v
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"AlgebraClass(tag={self.tag!r}, q={self.q!r}, via_v={self.via_v!r})"
-
 
 def algebra_of_class(cls: CanonicalClass) -> AlgebraClass:
     return AlgebraClass(_NAMES[cls.tag][0], cls.q, via_v=(cls.tag == "VFORM"))
@@ -226,7 +217,7 @@ X_COMMUTATION = Mat3(((0, 0, 1), (0, 0, 0), (-1, 0, 0)))
 Y_COMMUTATION = Mat3(((0, 0, 0), (0, 0, 1), (0, -1, 0)))
 
 
-class HTriple:
+class HTriple(Value):
     """Three-generator presentation: the relation, read with z in the affine
     slots (so it is homogeneous by construction), beside the two fixed
     commutation forms X_COMMUTATION and Y_COMMUTATION.
@@ -238,19 +229,6 @@ class HTriple:
         if relation.hom.is_zero():
             raise ValueError("the quadratic block of the relation must be nonzero")
         object.__setattr__(self, "relation", relation)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HTriple is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.relation == other.relation
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"HTriple(relation={self.relation!r})"
 
     def relation_poly(self) -> NCPoly:
         return homogeneous_poly_from_sf(self.relation)

@@ -244,7 +244,7 @@ def _cmd_stab(args) -> int:
 def _qas_entry(x):
     if isinstance(x, str):
         return parse_scalar(x)
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return x
     raise ValueError(f"matrix entries are integers or scalar text, not {x!r}")
 

@@ -24,13 +24,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from ._value import Value
 from .matrix import DegreeError, Mat2
 from .scalar import Scalar, as_scalar, sqrt_extend
 
 HALF = Fraction(1, 2)
 
 
-class Label:
+class Label(Value):
     """A class name: a tag, plus a nonzero q exactly when the tag is parametric.
 
     Every level of the classification names its classes this way; a subclass
@@ -57,19 +58,6 @@ class Label:
                 raise ValueError("q must be nonzero")
         object.__setattr__(self, "tag", tag)
         object.__setattr__(self, "q", q)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.tag, self.q) == (other.tag, other.q)
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"{type(self).__qualname__}(tag={self.tag!r}, q={self.q!r})"
 
     def __str__(self):
         if self.q is None:
@@ -298,7 +286,7 @@ def stab_membership(label: Canon2Label, p: Mat2) -> bool:
 MatrixRows = tuple[tuple[Scalar, ...], ...]
 
 
-class HSBlock:
+class HSBlock(Value):
     """A literal classical block: kind J, Gamma or H (see hs_block)."""
 
     __slots__ = ("kind", "size", "parameter", "rows")
@@ -308,24 +296,6 @@ class HSBlock:
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "parameter", parameter)
         object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HSBlock is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.kind, self.size, self.parameter, self.rows) == (
-            other.kind, other.size, other.parameter, other.rows
-        )
-
-    __hash__ = None
-
-    def __repr__(self):
-        return (
-            f"HSBlock(kind={self.kind!r}, size={self.size!r}, "
-            f"parameter={self.parameter!r}, rows={self.rows!r})"
-        )
 
 
 def _jordan_rows(lam: Scalar, n: int) -> MatrixRows:

@@ -27,6 +27,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
+from ._value import Value
 from .scalar import Scalar, as_scalar
 
 Vec2 = tuple[Scalar, Scalar]
@@ -44,7 +45,7 @@ def _s(x) -> Scalar:
     return as_scalar(x)
 
 
-class Mat2:
+class Mat2(Value):
     """2x2 matrix of exact scalars, row major."""
 
     __slots__ = ("a", "b", "c", "d")
@@ -54,9 +55,6 @@ class Mat2:
         object.__setattr__(self, "b", _s(b))
         object.__setattr__(self, "c", _s(c))
         object.__setattr__(self, "d", _s(d))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Mat2 is immutable")
 
     @classmethod
     def identity(cls) -> "Mat2":
@@ -151,18 +149,11 @@ class Mat2:
             self.a.is_zero() and self.d.is_zero() and (self.b + self.c).is_zero()
         )
 
-    def __eq__(self, other):
-        if not isinstance(other, Mat2):
-            return NotImplemented
-        return self.entries() == other.entries()
-
-    __hash__ = None
-
     def __repr__(self):
         return f"Mat2([[{self.a}, {self.b}], [{self.c}, {self.d}]])"
 
 
-class Mat3:
+class Mat3(Value):
     """3x3 matrix of exact scalars, row major."""
 
     __slots__ = ("rows",)
@@ -172,9 +163,6 @@ class Mat3:
         if len(rows) != 3 or any(len(r) != 3 for r in rows):
             raise ValueError("Mat3 needs a 3x3 array of entries")
         object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Mat3 is immutable")
 
     @classmethod
     def identity(cls) -> "Mat3":
@@ -221,13 +209,6 @@ class Mat3:
     def is_zero(self) -> bool:
         return all(e.is_zero() for e in self.entries())
 
-    def __eq__(self, other):
-        if not isinstance(other, Mat3):
-            return NotImplemented
-        return self.rows == other.rows
-
-    __hash__ = None
-
     def __repr__(self):
         body = ", ".join(
             "[" + ", ".join(str(x) for x in r) + "]" for r in self.rows
@@ -235,7 +216,7 @@ class Mat3:
         return f"Mat3([{body}])"
 
 
-class StdFormMatrix:
+class StdFormMatrix(Value):
     """Defining matrix in standard form: quadratic block, linear column, constant."""
 
     __slots__ = ("hom", "lin", "const")
@@ -244,9 +225,6 @@ class StdFormMatrix:
         object.__setattr__(self, "hom", hom)
         object.__setattr__(self, "lin", (_s(lin[0]), _s(lin[1])))
         object.__setattr__(self, "const", _s(const))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("StdFormMatrix is immutable")
 
     def embed(self) -> Mat3:
         h, (u, v), n = self.hom, self.lin, self.const
@@ -257,16 +235,6 @@ class StdFormMatrix:
         return StdFormMatrix(
             self.hom * s, (self.lin[0] * s, self.lin[1] * s), self.const * s
         )
-
-    def __eq__(self, other):
-        if not isinstance(other, StdFormMatrix):
-            return NotImplemented
-        return (self.hom, self.lin, self.const) == (other.hom, other.lin, other.const)
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"StdFormMatrix(hom={self.hom!r}, lin={self.lin!r}, const={self.const!r})"
 
 
 def sf_map(m: Mat3) -> StdFormMatrix:
@@ -279,7 +247,7 @@ def sf_map(m: Mat3) -> StdFormMatrix:
     )
 
 
-class PAffine:
+class PAffine(Value):
     """Affine substitution x' = P1 (x, y) + P2, as a block upper unitriangular 3x3."""
 
     __slots__ = ("linear", "translation")
@@ -290,9 +258,6 @@ class PAffine:
         if linear.det().is_zero():
             raise ValueError("affine substitution needs an invertible linear part")
 
-    def __setattr__(self, name, value):
-        raise AttributeError("PAffine is immutable")
-
     @classmethod
     def identity(cls) -> "PAffine":
         return cls(Mat2.identity())
@@ -300,16 +265,6 @@ class PAffine:
     def embed(self) -> Mat3:
         p, (e, f) = self.linear, self.translation
         return Mat3(((p.a, p.b, e), (p.c, p.d, f), (0, 0, 1)))
-
-    def __eq__(self, other):
-        if not isinstance(other, PAffine):
-            return NotImplemented
-        return (self.linear, self.translation) == (other.linear, other.translation)
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"PAffine(linear={self.linear!r}, translation={self.translation!r})"
 
 
 def p_compose(p: PAffine, q: PAffine) -> PAffine:

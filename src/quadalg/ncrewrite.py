@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 
+from ._value import Value
 from .scalar import Scalar, as_scalar
 
 ALPHABET = "xyz"
@@ -40,7 +41,7 @@ def _check_word(w: Word) -> Word:
     return w
 
 
-class NCPoly:
+class NCPoly(Value):
     """Immutable noncommutative polynomial: words mapped to nonzero scalars."""
 
     __slots__ = ("_terms",)
@@ -53,9 +54,6 @@ class NCPoly:
                 if not c.is_zero():
                     clean[_check_word(w)] = c
         object.__setattr__(self, "_terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("NCPoly is immutable")
 
     @classmethod
     def zero(cls) -> "NCPoly":
@@ -145,8 +143,6 @@ class NCPoly:
             return NotImplemented
         return (self - other).is_zero()
 
-    __hash__ = None
-
     def __repr__(self):
         if not self._terms:
             return "NCPoly(0)"
@@ -174,7 +170,7 @@ def parse_precedence(text: str | Sequence[str]) -> tuple[str, ...]:
     if len(set(letters)) != len(letters):
         raise ValueError("precedence letters must be distinct")
     for ch in letters:
-        if ch not in ALPHABET:
+        if len(ch) != 1 or ch not in ALPHABET:
             raise ValueError(f"unknown letter {ch!r} in precedence")
     return letters
 
@@ -197,28 +193,15 @@ def leading_word(p: NCPoly, precedence: Sequence[str]) -> Word:
 # --- rewrite systems --------------------------------------------------------
 
 
-class Rule:
+class Rule(Value):
     __slots__ = ("lhs", "rhs")
 
     def __init__(self, lhs: Word, rhs: NCPoly):
         object.__setattr__(self, "lhs", lhs)
         object.__setattr__(self, "rhs", rhs)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Rule is immutable")
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.lhs, self.rhs) == (other.lhs, other.rhs)
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"Rule(lhs={self.lhs!r}, rhs={self.rhs!r})"
-
-
-class RewriteSystem:
+class RewriteSystem(Value):
     __slots__ = ("rules", "precedence")
 
     def __init__(self, rules: Iterable[Rule], precedence: str | Sequence[str]):
@@ -239,19 +222,6 @@ class RewriteSystem:
                     raise ValueError(
                         f"rule {rule.lhs!r} does not dominate its right side"
                     )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RewriteSystem is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.rules, self.precedence) == (other.rules, other.precedence)
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"RewriteSystem(rules={self.rules!r}, precedence={self.precedence!r})"
 
     def lhs_map(self) -> dict[Word, NCPoly]:
         return {r.lhs: r.rhs for r in self.rules}

@@ -29,6 +29,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
+from ._value import Value
+
 MAX_TOWER_DEPTH = 4
 
 # Precision cap, in decimal digits, for the refinement loops of the decimal
@@ -448,7 +450,7 @@ def _merge_towers(ta, tb):
 # public scalar type
 
 
-class Enclosure:
+class Enclosure(Value):
     """Rational rectangle guaranteed to contain a complex value."""
 
     __slots__ = ("re_low", "re_high", "im_low", "im_high")
@@ -461,26 +463,9 @@ class Enclosure:
         object.__setattr__(self, "im_low", im_low)
         object.__setattr__(self, "im_high", im_high)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Enclosure is immutable")
-
-    def _key(self):
-        return (self.re_low, self.re_high, self.im_low, self.im_high)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
     # the corners are Fractions, so unlike the other value types it hashes
     def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return (
-            f"Enclosure(re_low={self.re_low!r}, re_high={self.re_high!r}, "
-            f"im_low={self.im_low!r}, im_high={self.im_high!r})"
-        )
+        return hash(self._key(self))
 
     def contains_zero(self) -> bool:
         return (
@@ -491,7 +476,7 @@ class Enclosure:
         return (self.re_low + self.re_high) / 2, (self.im_low + self.im_high) / 2
 
 
-class Scalar:
+class Scalar(Value):
     """Immutable exact element of a quadratic extension tower over Q."""
 
     __slots__ = ("_tower", "_elt")
@@ -504,9 +489,6 @@ class Scalar:
         tower = tuple(tower[:depth])
         object.__setattr__(self, "_tower", tower)
         object.__setattr__(self, "_elt", elt)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Scalar is immutable")
 
     # -- constructors
 
@@ -663,8 +645,6 @@ class Scalar:
         if not self._tower and not other._tower:
             return self._elt == other._elt
         return (self - other).is_zero()
-
-    __hash__ = None
 
     # -- numerics
 

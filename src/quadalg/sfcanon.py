@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from ._value import Value
 from .congruence2 import (
     Canon2Label,
     Label,
@@ -90,7 +91,7 @@ def literal_class(m: StdFormMatrix) -> CanonicalClass | None:
     return None
 
 
-class SfWitness:
+class SfWitness(Value):
     """Change of variables with scale: apply(n) = scale * fold(map^T n map).
 
     The one element of the standard-form congruence action: canonicalization
@@ -106,19 +107,6 @@ class SfWitness:
             raise ValueError("witness scale must be nonzero")
         object.__setattr__(self, "map", map)
         object.__setattr__(self, "scale", scale)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SfWitness is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.map, self.scale) == (other.map, other.scale)
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"SfWitness(map={self.map!r}, scale={self.scale!r})"
 
     @classmethod
     def identity(cls) -> "SfWitness":

@@ -336,14 +336,22 @@ class TestBoundaryInputs:
         assert (rc, err) == (1, "error: P1 must be 2x2\n")
 
     @pytest.mark.parametrize("left", [
-        "[[1, 1e308], [1, 1]]", "[[1, null], [1, 1]]", "[1, 1]", "7",
-        "[" * 100_000 + "]" * 100_000, "[[" + "7" * 5000 + "]]",
-    ], ids=["float", "null", "flat", "number", "deep", "long-int"])
+        "[[1, 1e308], [1, 1]]", "[[1, null], [1, 1]]", "[[true]]", "[[1, false], [0, 1]]",
+        "[1, 1]", "7", "[" * 100_000 + "]" * 100_000, "[[" + "7" * 5000 + "]]",
+    ], ids=["float", "null", "true", "false", "flat", "number", "deep", "long-int"])
     def test_qas_iso_entries_are_typed_errors(self, capsys, left):
         rc, _, err = run(capsys, "qas-iso", left, "[[1, 0], [0, 1]]")
         assert rc == 1
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert not any(t in err for t in INTERPRETER_TEXT)
+
+    @pytest.mark.parametrize("precedence", ["<y<x", ["xy"]])
+    def test_system_precedence_of_non_letters(self, capsys, tmp_path, precedence):
+        system = tmp_path / "system.json"
+        system.write_text(json.dumps({"precedence": precedence, "relations": ["yx - xy + y"]}))
+        rc, out, err = run(capsys, "reduce", "--system", str(system), "xy")
+        assert rc == 1 and out == ""
+        assert err.startswith("error: unknown letter ") and len(err.splitlines()) == 1
 
     def test_negative_digits_is_usage_error(self, capsys):
         rc, _, err = run(capsys, "classify", "xy - 2yx", "--digits", "-5")

@@ -14,6 +14,7 @@ from quadalg.ncrewrite import (
     leading_word,
     locally_confluent,
     orient,
+    parse_precedence,
     reduce,
     substitute,
     system_from_relations,
@@ -96,6 +97,13 @@ class TestOrient:
         rule = orient(X * Z - Z * X, "z<y<x")
         assert rule.lhs == "xz"
         assert rule.rhs == Z * X
+
+    @pytest.mark.parametrize("precedence, letter", [
+        ("<y<x", "''"), ("y<<x", "''"), (["xy", "z"], "'xy'"), ("yx<z", "'yx'"),
+    ])
+    def test_precedence_entries_are_single_letters(self, precedence, letter):
+        with pytest.raises(ValueError, match=f"unknown letter {letter} in precedence"):
+            parse_precedence(precedence)
 
     def test_leading_word_respects_precedence(self):
         assert leading_word(X * Y + Y * X, "y<x") == "xy"

@@ -1,13 +1,18 @@
 """The immutable value classes: read-only fields, field-wise equality within
-one class, no hashing, and keyword checking, as each class promises."""
+one class, no hashing, and keyword checking, as each class promises.  Every
+one of them gets these from the one base, quadalg._value.Value."""
 
+import importlib
+import pkgutil
 from fractions import Fraction
 
 import pytest
 
+import quadalg
+from quadalg._value import Value
 from quadalg.algebra import AlgebraClass, HTriple
 from quadalg.congruence2 import Canon2Label, HSBlock, hs_block
-from quadalg.matrix import Mat2, PAffine, StdFormMatrix
+from quadalg.matrix import Mat2, Mat3, PAffine, StdFormMatrix
 from quadalg.ncrewrite import NCPoly, Rule, RewriteSystem, orient
 from quadalg.scalar import Enclosure, _Ball, sqrt_extend
 from quadalg.sfcanon import SfWitness
@@ -30,6 +35,8 @@ CASES = [
     (AlgebraClass, ("tag", "q", "via_v"), lambda: AlgebraClass("U", via_v=True),
      lambda: AlgebraClass("U")),
     (HTriple, ("relation",), lambda: HTriple(std()), lambda: HTriple(std(2))),
+    (Mat2, ("a", "b", "c", "d"), lambda: Mat2(1, R2, 0, 1), lambda: Mat2(1, -R2, 0, 1)),
+    (Mat3, ("rows",), lambda: Mat3(((1, 0, R2), (0, 1, 0), (0, 0, 1))), Mat3.identity),
     (StdFormMatrix, ("hom", "lin", "const"), std, lambda: std(2)),
     (PAffine, ("linear", "translation"), lambda: PAffine(Mat2(1, 1, 0, 1), (R2, 0)),
      lambda: PAffine(Mat2(1, 1, 0, 1))),
@@ -84,6 +91,31 @@ def test_unknown_keyword_is_a_type_error(cls, fields, make, other):
     value = make()
     with pytest.raises(TypeError):
         cls(**{name: getattr(value, name) for name in fields}, bogus=1)
+
+
+@pytest.mark.parametrize("value", [R2, NCPoly({"xy": R2})], ids=["Scalar", "NCPoly"])
+def test_scalar_and_poly_are_read_only_and_do_not_hash(value):
+    slot = type(value).__slots__[0]
+    before = getattr(value, slot)
+    with pytest.raises(AttributeError, match="is immutable"):
+        setattr(value, slot, before)
+    with pytest.raises(AttributeError, match="is immutable"):
+        value.extra = 1
+    assert type(value).__hash__ is None
+    with pytest.raises(TypeError):
+        hash(value)
+
+
+def test_only_the_base_defines_setattr():
+    names = [m.name for m in pkgutil.iter_modules(quadalg.__path__) if m.name != "__main__"]
+    offenders = []
+    for name in names:
+        module = importlib.import_module(f"quadalg.{name}")
+        for cls in vars(module).values():
+            if (isinstance(cls, type) and cls.__module__ == module.__name__
+                    and cls is not Value and "__setattr__" in vars(cls)):
+                offenders.append(f"{module.__name__}.{cls.__qualname__}")
+    assert len(names) > 5 and not offenders
 
 
 def test_ball_is_a_mutable_record():
