@@ -245,6 +245,8 @@ def homogenize(f: NCPoly) -> HTriple:
 class HClass(Label):
     """Name of a homogenized algebra; eleven names, two carry a parameter."""
 
+    __slots__ = ()
+
     TAGS = H_CLASS_NAMES
     PARAMETRIC = tuple(_NAMES[t][1] for t in CanonicalClass.PARAMETRIC)
 

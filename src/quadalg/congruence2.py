@@ -78,6 +78,8 @@ def reciprocal_equivalent(a: Label, b: Label) -> bool:
 class Canon2Label(Label):
     """Congruence class of a nonzero 2x2 matrix, with parameter for Q."""
 
+    __slots__ = ()
+
     TAGS = ("X2", "YX", "JORDAN", "Q")
     PARAMETRIC = ("Q",)
 

@@ -252,7 +252,7 @@ class PAffine(Value):
 
     __slots__ = ("linear", "translation")
 
-    def __init__(self, linear: Mat2, translation: Vec2 = (Fraction(0), Fraction(0))):
+    def __init__(self, linear: Mat2, translation: Vec2 = (0, 0)):
         object.__setattr__(self, "linear", linear)
         object.__setattr__(self, "translation", (_s(translation[0]), _s(translation[1])))
         if linear.det().is_zero():

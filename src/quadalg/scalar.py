@@ -22,6 +22,16 @@ a rational operand of +, - or * touches the innermost slot or scales every
 slot, and a rational radicand multiplies as a plain ``Fraction``.  Two
 rational operands never enter it at all: the operators work on their
 ``Fraction``s directly.
+
+The constants 0, 1 and -1 are three shared Scalars (``ZERO``, ``ONE`` and
+``MINUS_ONE``): ``Scalar.zero()``, ``Scalar.one()`` and every int operand of
+-1, 0 or 1 give them, so the literal entries of matrices are shared.  Before
+any arithmetic, at every depth, the operators test whether an operand *is*
+ZERO or ONE and return the result that needs no arithmetic (``x * 0`` is
+ZERO, ``x * 1`` and ``x + 0`` are x, ``0 - x`` is -x); that result is
+normalised and equal to what the general path gives.  They never test an
+operand's *value* against 0 or 1: computed coefficients are rarely trivial,
+so such a test would be paid on nearly every op for nothing.
 """
 
 from __future__ import annotations
@@ -498,11 +508,11 @@ class Scalar(Value):
 
     @staticmethod
     def zero() -> "Scalar":
-        return _normalised((), Fraction(0))
+        return ZERO
 
     @staticmethod
     def one() -> "Scalar":
-        return _normalised((), Fraction(1))
+        return ONE
 
     # -- structure
 
@@ -549,17 +559,22 @@ class Scalar(Value):
 
     def _times_rational(self, fr):
         if not fr:
-            return _normalised((), fr)
+            return ZERO
         return _normalised(self._tower, _scale(self._elt, fr, len(self._tower)))
 
-    # Each operator tests for an exact Scalar first; two depth-0 operands
-    # work on their Fractions directly.
+    # Each operator tests for an exact Scalar first, then for a shared
+    # constant by identity, before any arithmetic; two depth-0 operands work
+    # on their Fractions directly.
 
     def __add__(self, other):
         if other.__class__ is not Scalar:
             other = _operand(other)
             if other is None:
                 return NotImplemented
+        if other is ZERO:
+            return self
+        if self is ZERO:
+            return other
         if not other._tower:
             if not self._tower:
                 return _normalised((), self._elt + other._elt)
@@ -572,6 +587,8 @@ class Scalar(Value):
     __radd__ = __add__
 
     def __neg__(self):
+        if self is ZERO:
+            return self
         return _normalised(self._tower, _neg(self._elt, len(self._tower)))
 
     def __sub__(self, other):
@@ -579,6 +596,10 @@ class Scalar(Value):
             other = _operand(other)
             if other is None:
                 return NotImplemented
+        if other is ZERO:
+            return self
+        if self is ZERO:
+            return -other
         if not other._tower:
             if not self._tower:
                 return _normalised((), self._elt - other._elt)
@@ -596,6 +617,12 @@ class Scalar(Value):
             other = _operand(other)
             if other is None:
                 return NotImplemented
+        if other is ZERO or self is ZERO:
+            return ZERO
+        if other is ONE:
+            return self
+        if self is ONE:
+            return other
         if not other._tower:
             if not self._tower:
                 return _normalised((), self._elt * other._elt)
@@ -691,10 +718,21 @@ def _normalised(tower, elt) -> Scalar:
     return s
 
 
+# The shared constants (see the module docstring).  Scalars are immutable,
+# so one object can stand for every 0, 1 and -1 an int operand asks for.
+ZERO = _normalised((), Fraction(0))
+ONE = _normalised((), Fraction(1))
+MINUS_ONE = _normalised((), Fraction(-1))
+_SHARED = {0: ZERO, 1: ONE, -1: MINUS_ONE}
+
+
 def _operand(x) -> Scalar | None:
-    """x as a Scalar when it is one or an int or Fraction, else None."""
+    """x as a Scalar when it is one or an int or Fraction, else None; an int
+    of -1, 0 or 1 gives the shared constant."""
     if isinstance(x, Scalar):
         return x
+    if x.__class__ is int and -1 <= x <= 1:
+        return _SHARED[x]
     if isinstance(x, (int, Fraction)):
         return Scalar.from_fraction(x)
     return None

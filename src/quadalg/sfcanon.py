@@ -61,6 +61,8 @@ CANONICAL_TAGS = tuple(_CLASSES)
 class CanonicalClass(Label):
     """Class of a standard-form matrix under standard-form congruence."""
 
+    __slots__ = ()
+
     TAGS = CANONICAL_TAGS
     PARAMETRIC = ("QPLANE", "QWEYL")
 

@@ -6,8 +6,10 @@ what their Fractions give; a rational operand of +, -, * and / must give the
 same tower and the same element as lifting it and running the generic
 arithmetic under the public, normalising constructor; a level with a
 rational radicand must multiply like one without that shortcut; the
-closed-form congruence must equal the 3x3 product it replaces; and the
-witness checker must not depend on the closed form at all.
+closed-form congruence must equal the 3x3 product it replaces; the
+witness checker must not depend on the closed form at all; and an operand
+that is one of the shared constants 0, 1 and -1 must give what an equal,
+unshared value gives.
 """
 
 import copy
@@ -29,7 +31,17 @@ from quadalg.matrix import (
     apply_congruence,
     sf_map,
 )
-from quadalg.scalar import Scalar, _add, _inv, _mul, _neg, _sub, as_scalar, sqrt_extend
+from quadalg.scalar import (
+    Scalar,
+    _add,
+    _inv,
+    _mul,
+    _neg,
+    _sub,
+    as_scalar,
+    format_scalar,
+    sqrt_extend,
+)
 from quadalg.sfcanon import (
     SfWitness,
     orbit_sample_with_witness,
@@ -130,6 +142,28 @@ def test_rational_operand_matches_generic(a, q, op):
     assert same_representation(-a, Scalar(a._tower, _neg(a._elt, a.tower_depth)))
     assert (a == q) is (a.tower_depth == 0 and a.as_fraction() == as_scalar(q).as_fraction())
     assert a.is_zero() is (not a) is (a.tower_depth == 0 and a.as_fraction() == 0)
+
+
+def test_small_ints_are_the_shared_constants():
+    assert as_scalar(0) is Scalar.zero() and as_scalar(1) is Scalar.one()
+    assert as_scalar(-1) is as_scalar(-1) and -Scalar.zero() is Scalar.zero()
+    assert Mat2.identity().b is Scalar.zero()
+    assert PAffine.identity().translation[0] is Scalar.zero()
+    # the public constructor still gives a fresh value
+    assert Scalar((), Fraction(0)) is not Scalar.zero()
+
+
+@settings(max_examples=100)
+@given(operands, st.sampled_from((-1, 0, 1)))
+def test_shared_constant_matches_unshared(a, k):
+    """x + c, c + x, x - c, c - x, x * c and c * x for a shared constant c and
+    for a fresh c built by the normalising constructor."""
+    shared, fresh = as_scalar(k), Scalar((), Fraction(k))
+    assert shared is not fresh and shared == fresh
+    for op in (operator.add, operator.sub, operator.mul):
+        for fast, slow in ((op(a, shared), op(a, fresh)), (op(shared, a), op(fresh, a))):
+            assert same_representation(fast, slow)
+            assert format_scalar(fast) == format_scalar(slow)
 
 
 depth1_scalars = st.builds(

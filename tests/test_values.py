@@ -106,16 +106,28 @@ def test_scalar_and_poly_are_read_only_and_do_not_hash(value):
         hash(value)
 
 
-def test_only_the_base_defines_setattr():
+def package_classes():
+    """(qualified name, class) of every class defined in a quadalg module."""
     names = [m.name for m in pkgutil.iter_modules(quadalg.__path__) if m.name != "__main__"]
-    offenders = []
+    assert len(names) > 5
     for name in names:
         module = importlib.import_module(f"quadalg.{name}")
         for cls in vars(module).values():
-            if (isinstance(cls, type) and cls.__module__ == module.__name__
-                    and cls is not Value and "__setattr__" in vars(cls)):
-                offenders.append(f"{module.__name__}.{cls.__qualname__}")
-    assert len(names) > 5 and not offenders
+            if isinstance(cls, type) and cls.__module__ == module.__name__:
+                yield f"{module.__name__}.{cls.__qualname__}", cls
+
+
+def test_only_the_base_defines_setattr():
+    offenders = [name for name, cls in package_classes()
+                 if cls is not Value and "__setattr__" in vars(cls)]
+    assert not offenders
+
+
+def test_every_value_class_declares_slots():
+    """A subclass without its own __slots__ gives each instance a __dict__."""
+    values = [(name, cls) for name, cls in package_classes() if issubclass(cls, Value)]
+    offenders = [name for name, cls in values if "__slots__" not in vars(cls)]
+    assert len(values) > 10 and not offenders
 
 
 def test_ball_is_a_mutable_record():
