@@ -1,0 +1,211 @@
+#!/usr/bin/env python3
+"""Run the benchmark on a parent revision and on the working tree, in pairs.
+
+    python3 scripts/bench_pairs.py --parent HEAD~1 --seeds 1-10 \\
+        --workloads canon-orbit congruent-pairs --out BENCH_N.json
+
+The parent revision is exported with `git archive`, and the working tree's
+tracked and untracked (not ignored) files are copied, each into its own
+temporary directory, so both sides run from fresh checkouts with identical
+layout.  For each workload and seed the script runs the command of
+BENCHMARK.json once on each side, alternating which side runs first (odd
+seeds: parent first), and records every end-to-end metric, the number of
+timed samples, and the correctness and attempted/failed counts of each run.
+Per workload it writes each metric's medians, the parent's interquartile
+range, how many pairs the change won and lost, and the slope of
+peak_rss_mb against timed samples on each side (MB per 1,000 samples).
+It reads bench/ and changes nothing in the repository except the output
+file.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import shutil
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def git(*args) -> str:
+    return subprocess.run(["git", "-C", str(ROOT), *args], check=True,
+                          capture_output=True, text=True).stdout
+
+
+def export_revision(rev: str, dest: Path) -> None:
+    archive = dest.with_suffix(".tar")
+    subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", "-o",
+                    str(archive), rev], check=True)
+    with tarfile.open(archive) as tar:
+        tar.extractall(dest, filter="data")
+    archive.unlink()
+
+
+def interpreter(command) -> str:
+    """Implementation and version of the interpreter the command runs."""
+    probe = "import platform; print(platform.python_implementation(), platform.python_version())"
+    proc = subprocess.run([*command[:-1], "-c", probe], capture_output=True, text=True)
+    return proc.stdout.strip()
+
+
+def copy_working_tree(dest: Path) -> None:
+    files = git("ls-files", "-z", "--cached", "--others", "--exclude-standard")
+    for name in filter(None, files.split("\0")):
+        src = ROOT / name
+        if src.is_file():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(src, dest / name)
+
+
+def parse_seeds(text: str) -> list[int]:
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds += range(int(lo), int(hi or lo) + 1)
+    return seeds
+
+
+def run_once(tree: Path, command, workload: str, seed: int, seconds) -> dict:
+    """One benchmark run in `tree`: its result line plus its timed samples."""
+    argv = [*command, "--workload", workload, "--seed", str(seed), "--trace", "0"]
+    if seconds is not None:
+        argv += ["--seconds", str(seconds)]
+    proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    result = json.loads(lines[-1]) if lines else {}
+    record = tree / "bench" / "out" / f"{workload}-seed{seed}-trace0.json"
+    samples = None
+    if record.is_file():
+        samples = json.loads(record.read_text()).get("loop", {}).get("samples")
+    return {"exit": proc.returncode, "result": result, "samples": samples}
+
+
+def side_table(runs, metrics) -> dict:
+    table = {
+        "samples": [r["samples"] for r in runs],
+        "attempted_failed": [[r["result"].get("attempted"), r["result"].get("failed")]
+                             for r in runs],
+        "correct": [r["result"].get("correct", False) and r["exit"] == 0 for r in runs],
+    }
+    for name in metrics:
+        table[name] = [r["result"].get("metrics", {}).get(name, {}).get("value")
+                       for r in runs]
+    return table
+
+
+def quartile_spread(values) -> float:
+    if len(values) < 2:
+        return 0.0
+    q = statistics.quantiles(values, n=4, method="inclusive")
+    return q[2] - q[0]
+
+
+def rss_slope(samples, rss):
+    """Least-squares MB of peak RSS per 1,000 timed samples, or None."""
+    points = [(s, r) for s, r in zip(samples, rss) if s is not None and r is not None]
+    if len({s for s, _ in points}) < 2:
+        return None
+    ms = statistics.fmean(s for s, _ in points)
+    mr = statistics.fmean(r for _, r in points)
+    num = sum((s - ms) * (r - mr) for s, r in points)
+    den = sum((s - ms) ** 2 for s, _ in points)
+    return round(1000 * num / den, 4)
+
+
+def summarize(parent: dict, change: dict, metrics: dict) -> dict:
+    out = {}
+    for name, spec in metrics.items():
+        pairs = [(p, c) for p, c in zip(parent[name], change[name])
+                 if p is not None and c is not None]
+        if not pairs:
+            continue
+        ps, cs = [p for p, _ in pairs], [c for _, c in pairs]
+        higher = spec["better"] == "higher"
+        better = sum((c > p) if higher else (c < p) for p, c in pairs)
+        worse = sum((c < p) if higher else (c > p) for p, c in pairs)
+        pm, cm = statistics.median(ps), statistics.median(cs)
+        iqr = quartile_spread(ps)
+        out[name] = {
+            "parent_median": round(pm, 5), "change_median": round(cm, 5),
+            "rel_change": round((cm - pm) / pm, 4) if pm else None,
+            "parent_iqr": round(iqr, 5),
+            "parent_iqr_over_median": round(iqr / pm, 4) if pm else None,
+            "pairs_change_better": better, "pairs_change_worse": worse,
+        }
+    out["samples_median"] = {
+        side: statistics.median(s for s in table["samples"] if s is not None)
+        for side, table in (("parent", parent), ("change", change))
+        if any(s is not None for s in table["samples"])
+    }
+    out["rss_mb_per_1000_samples"] = {
+        side: rss_slope(table["samples"], table.get("peak_rss_mb", []))
+        for side, table in (("parent", parent), ("change", change))
+    }
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", default="HEAD", help="git revision to compare with")
+    parser.add_argument("--seeds", default="1-10", help="e.g. 1-10 or 1,3,5")
+    parser.add_argument("--workloads", nargs="+", help="default: every workload")
+    parser.add_argument("--seconds", type=float,
+                        help="run length (default: run_seconds of BENCHMARK.json)")
+    parser.add_argument("--out", required=True, help="BENCH_<n>.json to write")
+    args = parser.parse_args(argv)
+
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    command = bench["command"]
+    seconds = args.seconds if args.seconds is not None else bench.get("run_seconds")
+    workloads = args.workloads or [w["name"] for w in bench["workloads"]]
+    metrics = {m["name"]: m for m in bench["end_to_end"]}
+    seeds = parse_seeds(args.seeds)
+    parent_rev = git("rev-parse", args.parent).strip()
+
+    doc = {
+        "what": "bench/run.py end-to-end metrics at the parent commit and with this "
+                "change, same seeds on both sides, alternating which side runs first "
+                "(odd seeds: parent first)",
+        "parent_commit": parent_rev,
+        "command": " ".join(command) + " --workload W --seed S --seconds "
+                   f"{seconds:g} --trace 0",
+        "interpreter": interpreter(command),
+        "host": {"machine": platform.machine(), "nproc": os.cpu_count()},
+        "workloads": {},
+        "summary": {},
+    }
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        trees = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
+        for tree in trees.values():
+            tree.mkdir()
+        export_revision(parent_rev, trees["parent"])
+        copy_working_tree(trees["change"])
+        for workload in workloads:
+            runs = {"parent": [], "change": []}
+            for seed in seeds:
+                order = ("parent", "change") if seed % 2 else ("change", "parent")
+                for side in order:
+                    run = run_once(trees[side], command, workload, seed, seconds)
+                    runs[side].append(run)
+                    value = run["result"].get("metrics", {}).get("ops_per_s", {})
+                    print(f"{workload} seed {seed} {side}: exit {run['exit']}, "
+                          f"ops_per_s {value.get('value')}, samples {run['samples']}",
+                          file=sys.stderr, flush=True)
+            tables = {side: side_table(r, metrics) for side, r in runs.items()}
+            doc["workloads"][workload] = {"seeds": seeds, **tables}
+            doc["summary"][workload] = summarize(tables["parent"], tables["change"], metrics)
+            # written after each workload, so an interrupted run keeps what it finished
+            Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

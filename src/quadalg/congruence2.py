@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from ._value import Value
 from .matrix import DegreeError, Mat2
-from .scalar import Scalar, as_scalar, sqrt_extend
+from .scalar import Scalar, as_scalar, on_one_tower, sqrt_extend
 
 HALF = Fraction(1, 2)
 
@@ -154,6 +154,10 @@ def _columns(u, v) -> Mat2:
 
 
 def _verify(m: Mat2, label: Canon2Label, p: Mat2, alpha: Scalar) -> None:
+    entries = (p.a, p.b, p.c, p.d, m.a, m.b, m.c, m.d)
+    lifted = on_one_tower(entries)
+    if lifted is not entries:
+        p, m = Mat2(*lifted[:4]), Mat2(*lifted[4:])
     got = (p.transpose() * m * p) * alpha
     if got != canonical_mat2(label):
         raise AssertionError(

@@ -13,7 +13,14 @@ ladder of 30, 60, ... digits, and a real part too small to tell from zero
 there counts as zero.  Enclosures otherwise serve only printing and
 cross-checks; no other arithmetic decision depends on them.  A tower holds
 only its radicands, so it is an immutable value: two towers with equal
-radicands denote the same roots.
+radicands denote the same roots.  A level keeps the balls around its root
+that have been computed, by precision: the level sits at one index over one
+fixed prefix, so the ball never changes, and each is computed once.
+
+An op on values over two different towers merges the towers first.
+`on_one_tower` re-expresses a list of values over one common tower,
+merging each distinct tower once, so that a whole matrix product (the
+witness checkers') then stays on the same-tower path.
 
 The representation of a depth-k element is a nested pair ``(a, b)`` standing
 for ``a + b*sqrt(r_k)`` with ``a``, ``b`` at depth k-1 and plain ``Fraction``
@@ -236,15 +243,21 @@ def _rational_value(e, depth) -> Fraction | None:
 
 
 class _Level:
-    """One tower level: its radicand (an element one level down) and that
-    radicand as a Fraction when it is rational.  The level's root is the
-    principal square root of the radicand; nothing else is stored."""
+    """One tower level: its radicand (an element one level down), that
+    radicand as a Fraction when it is rational, and the balls around the
+    level's root found so far, by precision in digits.  The level's root is
+    the principal square root of the radicand.
 
-    __slots__ = ("radicand", "rational")
+    A level sits at one index over one fixed prefix (towers only grow by
+    ``tower + (level,)``), so its root ball at a given precision never
+    changes and `_root_ball` computes it once."""
+
+    __slots__ = ("radicand", "rational", "balls")
 
     def __init__(self, radicand, depth):
         self.radicand = radicand
         self.rational = _rational_value(radicand, depth)
+        self.balls = {}
 
 
 def _more_digits(d):
@@ -307,6 +320,16 @@ def _half_plane(re, im, rad) -> int:
 
 
 def _root_ball(tower, idx, digits):
+    """Ball around the principal square root of tower[idx]'s radicand, kept
+    on the level so that each precision is computed once."""
+    balls = tower[idx].balls
+    ball = balls.get(digits)
+    if ball is None:
+        ball = balls[digits] = _principal_root_ball(tower, idx, digits)
+    return ball
+
+
+def _principal_root_ball(tower, idx, digits):
     """Ball around the principal square root of tower[idx]'s radicand.
 
     The half-plane is settled on the ladder 30, 60, ... digits whatever the
@@ -780,6 +803,43 @@ def sqrt_extend(s: Scalar) -> Scalar:
         )
     grown = tower + (_Level(s._elt, depth),)
     return Scalar(grown, (_zero(depth), _lift(Fraction(1), 0, depth)))
+
+
+def on_one_tower(values):
+    """The Scalars in `values` re-expressed over one common tower.
+
+    The distinct towers are folded into one growing tower: a tower that is a
+    prefix of it is taken as it is, a tower that extends it replaces it, and
+    any other tower is merged into it once.  The maps each merge returns
+    carry that tower's values over, lifted to the final depth.  Rational
+    values and values on the common tower or a prefix of it come back
+    unchanged.  When no tower needs a merge, `values` itself is returned.
+    """
+    tower = ()
+    merged = {}  # source tower -> (its maps, depth of the tower they are over)
+    for v in values:
+        t = v._tower
+        if not t or t is tower or t in merged or _is_prefix(t, tower):
+            continue
+        if _is_prefix(tower, t):
+            tower = t
+            continue
+        tower, maps = _merge_towers(tower, t)
+        merged[t] = (maps, len(tower))
+    if not merged:
+        return values
+    depth = len(tower)
+    lifted = {
+        t: [_lift(m, d, depth) for m in maps] for t, (maps, d) in merged.items()
+    }
+    out = []
+    for v in values:
+        maps = lifted.get(v._tower)
+        if maps is None:
+            out.append(v)
+        else:
+            out.append(Scalar(tower, _transplant(v._elt, len(v._tower), maps, tower)))
+    return out
 
 
 # ---------------------------------------------------------------------------

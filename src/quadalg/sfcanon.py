@@ -29,6 +29,7 @@ from .congruence2 import (
 from .matrix import (
     DegreeError,
     Mat2,
+    Mat3,
     PAffine,
     StdFormMatrix,
     apply_congruence,
@@ -36,7 +37,7 @@ from .matrix import (
     p_invert,
     sf_map,
 )
-from .scalar import Scalar, as_scalar, sqrt_extend
+from .scalar import Scalar, as_scalar, on_one_tower, sqrt_extend
 
 # The eleven classes: tag -> (canonical 2x2 block, linear column, constant),
 # with the relation each one stands for.  The Q block carries the class's q,
@@ -144,9 +145,17 @@ def verify_witness(m: StdFormMatrix, n: StdFormMatrix, w: SfWitness) -> bool:
     """True iff m = scale * fold(map^T n map), entrywise exact.
 
     The check multiplies the embedded 3x3 matrices itself, so it shares no
-    code with the closed form in `apply_congruence` that it checks."""
-    pm = w.map.embed()
-    return sf_map(pm.transpose() * n.embed() * pm).scale(w.scale) == m
+    code with the closed form in `apply_congruence` that it checks.  It
+    first lifts the 18 entries onto one tower (`on_one_tower`), so that the
+    product merges no towers; entries that already share one are used as
+    they are."""
+    pm, nm = w.map.embed(), n.embed()
+    entries = sum(pm.rows + nm.rows, ())
+    lifted = on_one_tower(entries)
+    if lifted is not entries:
+        pm = Mat3((lifted[0:3], lifted[3:6], lifted[6:9]))
+        nm = Mat3((lifted[9:12], lifted[12:15], lifted[15:18]))
+    return sf_map(pm.transpose() * nm * pm).scale(w.scale) == m
 
 
 def _constant(stages, c: Scalar, plain: str, shifted: str, q=None):
@@ -252,8 +261,11 @@ def sf_congruent(
     return witness is not None, witness
 
 
-def _rand_fraction(rng) -> Fraction:
-    return Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2)))
+def _rand_fraction(rng) -> int | Fraction:
+    """A small random rational; an int when it is whole, so that 0, 1 and -1
+    become the shared constants."""
+    q = Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2)))
+    return q.numerator if q.denominator == 1 else q
 
 
 def orbit_sample_with_witness(

@@ -10,11 +10,18 @@ closed-form congruence must equal the 3x3 product it replaces; the
 witness checker must not depend on the closed form at all; and an operand
 that is one of the shared constants 0, 1 and -1 must give what an equal,
 unshared value gives.
+
+Lists of depth 0-3 scalars, products of those roots taken in any order and
+so over differently ordered towers, pin `on_one_tower` to the values it was
+given; the witness checker, which lifts its entries with it, must accept
+the witness of every such orbit sample and reject a wrong one, and on
+rational entries it must do nothing the plain product does not.
 """
 
 import copy
 import operator
 import random
+from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
 from unittest import mock
@@ -23,9 +30,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import quadalg.matrix as matrix
+import quadalg.scalar as scalar
 import quadalg.sfcanon as sfcanon
 from quadalg.matrix import (
     Mat2,
+    Mat3,
     PAffine,
     StdFormMatrix,
     apply_congruence,
@@ -35,15 +44,19 @@ from quadalg.scalar import (
     Scalar,
     _add,
     _inv,
+    _is_prefix,
     _mul,
     _neg,
     _sub,
     as_scalar,
     format_scalar,
+    on_one_tower,
     sqrt_extend,
 )
 from quadalg.sfcanon import (
+    CanonicalClass,
     SfWitness,
+    canonical_matrix,
     orbit_sample_with_witness,
     sf_canonicalize,
     verify_witness,
@@ -282,3 +295,121 @@ def test_checker_accepts_canonicalization_witnesses_without_closed_form():
         for target, source, w in cases:
             assert verify_witness(target, source, w)
             assert not verify_witness(target, source, SfWitness(w.map, w.scale * 3))
+
+
+# Lifting onto one tower.  A product of roots takes the tower of its factors
+# in the order they were multiplied, so sqrt(2)*sqrt(3) and sqrt(3)*sqrt(2)
+# sit on the towers (2, 3) and (3, 2).
+
+GENERATORS = ROOTS + (sqrt_extend(1 + ROOTS[0]),)
+
+
+@st.composite
+def mixed_scalars(draw):
+    """c0 + c1 * g1 * g2 * g3: distinct generators multiplied in the drawn
+    order, at most two when the nested root (depth 2) is one of them, so the
+    value has depth 0-3."""
+    gens = draw(st.lists(st.sampled_from(GENERATORS), max_size=3, unique_by=id))
+    if GENERATORS[3] in gens:
+        gens = gens[:2]
+    term = as_scalar(draw(small.filter(bool)))
+    for g in gens:
+        term = term * g
+    return draw(small) + term
+
+
+def overlapping(x, y):
+    return (
+        x.re_low <= y.re_high and y.re_low <= x.re_high
+        and x.im_low <= y.im_high and y.im_low <= x.im_high
+    )
+
+
+@settings(max_examples=40)
+@given(st.lists(mixed_scalars(), max_size=5))
+def test_on_one_tower_keeps_each_value(values):
+    lifted = on_one_tower(values)
+    assert len(lifted) == len(values)
+    top = max((w._tower for w in lifted), key=len, default=())
+    for v, w in zip(values, lifted):
+        assert _is_prefix(w._tower, top)
+        assert w == v
+        assert overlapping(w.approx(30), v.approx(30))
+        if not v._tower:
+            assert w is v
+    if len({v._tower for v in values if v._tower}) <= 1:
+        assert lifted is values
+
+
+@st.composite
+def mixed_witness_cases(draw):
+    """(M, P, alpha): each entry is a + b s for small rationals a, b and s
+    one of g, h, g h and h g for two generators g, h, so entries sit on the
+    towers of g and h in both orders; P1 invertible, alpha nonzero."""
+    g, h = draw(st.lists(st.sampled_from(GENERATORS), min_size=2, max_size=2,
+                         unique_by=id))
+    pool = (g, h, g * h, h * g)
+
+    def entry():
+        return draw(small) + draw(small) * draw(st.sampled_from(pool))
+
+    m = StdFormMatrix(Mat2(*(entry() for _ in range(4))), (entry(), entry()), entry())
+    while True:
+        linear = Mat2(*(entry() for _ in range(4)))
+        if not linear.det().is_zero():
+            break
+    alpha = entry()
+    assume(alpha)
+    return m, PAffine(linear, (entry(), entry())), alpha
+
+
+def perturbed(p):
+    """p with 1 or -1 added to its top-left entry, whichever stays invertible."""
+    lin = p.linear
+    for delta in (1, -1):
+        candidate = Mat2(lin.a + delta, lin.b, lin.c, lin.d)
+        if not candidate.det().is_zero():
+            return PAffine(candidate, p.translation)
+
+
+@settings(max_examples=15)
+@given(mixed_witness_cases())
+def test_checker_accepts_mixed_tower_orbit_witnesses(case):
+    m, p, alpha = case
+    assume(not m.hom.is_zero())
+    target = apply_congruence(m, p, alpha)
+    wrong = perturbed(p)
+    assume(apply_congruence(m, wrong, alpha) != target)
+    with closed_form_refused():
+        assert verify_witness(target, m, SfWitness(p, alpha))
+        assert not verify_witness(target, m, SfWitness(p, alpha * 2))
+        assert not verify_witness(target, m, SfWitness(wrong, alpha))
+
+
+def refuse_merge(*args):
+    raise AssertionError("a check on rational entries merged towers")
+
+
+def test_rational_check_does_no_extra_work():
+    """Rational entries come back as they are, so the check merges no tower
+    and builds only the plain product's five Mat3s: two embeddings, one
+    transpose and two products."""
+    built = Counter()
+    plain_init = Mat3.__init__
+
+    def counted_init(self, rows):
+        built["Mat3"] += 1
+        plain_init(self, rows)
+
+    rng = random.Random(5)
+    for tag in ("QWEYL", "VFORM", "X2_MINUS1"):
+        m = canonical_matrix(CanonicalClass(tag, 3 if tag == "QWEYL" else None))
+        sample, w = orbit_sample_with_witness(m, rng)
+        entries = sum(w.map.embed().rows + m.embed().rows, ())
+        assert on_one_tower(entries) is entries
+        built.clear()
+        with mock.patch.object(Mat3, "__init__", counted_init), mock.patch.object(
+            scalar, "_merge_towers", refuse_merge
+        ):
+            assert verify_witness(sample, m, w)
+        assert built["Mat3"] == 5

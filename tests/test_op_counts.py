@@ -1,22 +1,36 @@
-"""A deterministic guard on the cost of canonicalization: Fraction operations
-are counted instead of timed, so the bound holds on any host.
+"""Deterministic guards on the cost of canonicalization: operations are
+counted instead of timed, so the bounds hold on any host.
 
-The corpus is fixed: five orbit samples (random.Random(k), k = 0-4) of each
-of the eleven canonical matrices, with q = 3 for the parametric classes.
-Every input entry is rational, so nearly all of the arithmetic is depth-0
-Scalar arithmetic on Fractions (a few witnesses take one square root).
-Before 0, 1 and -1 were shared constants that the Scalar operators skip,
-canonicalizing this corpus took 19,334 of the counted Fraction operations;
-a change that sends trivial products and sums back through Fraction makes
-the count pass the bound.
+The rational corpus is fixed: five orbit samples (random.Random(k),
+k = 0-4) of each of the eleven canonical matrices, with q = 3 for the
+parametric classes.  Every input entry is rational, so nearly all of the
+arithmetic is depth-0 Scalar arithmetic on Fractions (a few witnesses take
+one square root).  Before 0, 1 and -1 were shared constants that the Scalar
+operators skip, canonicalizing this corpus took 19,334 of the counted
+Fraction operations, and 8,457 while orbit samples still drew their whole
+entries as Fractions; a change that sends trivial products and sums back
+through Fraction makes the count pass the bound.
+
+The tower corpus is the 54 relations of the `canon` cases in
+`data/cli_golden_towers.json`, whose coefficients mix sqrt(2), sqrt(3) and
+sqrt(-1); the tower budget refuses one of them.  Canonicalizing them took
+294 tower merges and 1,589 root enclosures (`_root_candidate`) while the
+witness check merged towers entry by entry and every root ball was
+computed afresh; a change that brings either back passes the bounds.
 """
 
+import json
 import random
 from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
+import quadalg.scalar as scalar
+from quadalg.algebra import sf_from_poly
+from quadalg.polyio import parse_poly
+from quadalg.scalar import TowerDepthError
 from quadalg.sfcanon import (
     CANONICAL_TAGS,
     CanonicalClass,
@@ -29,7 +43,9 @@ ARITHMETIC = (
     "__add__", "__radd__", "__sub__", "__rsub__",
     "__mul__", "__rmul__", "__truediv__", "__rtruediv__",
 )
-BOUND = 8457
+BOUND = 6517
+TOWER_BOUNDS = {"_merge_towers": 229, "_root_candidate": 148}
+GOLDEN_TOWERS = Path(__file__).resolve().parent / "data" / "cli_golden_towers.json"
 
 
 def corpus():
@@ -43,25 +59,26 @@ def corpus():
 
 
 @contextmanager
-def counting(names):
-    """Count calls of the named Fraction methods while the block runs."""
+def counting(target, names):
+    """Count calls of the named methods of a class, or functions of a
+    module, while the block runs."""
     counts = Counter()
 
     def counted(name):
-        method = getattr(Fraction, name)
+        function = getattr(target, name)
 
         def wrapper(*args):
             counts[name] += 1
-            return method(*args)
+            return function(*args)
 
         return wrapper
 
-    with mock.patch.multiple(Fraction, **{name: counted(name) for name in names}):
+    with mock.patch.multiple(target, **{name: counted(name) for name in names}):
         yield counts
 
 
 def test_counting_sees_fraction_arithmetic():
-    with counting(ARITHMETIC) as counts:
+    with counting(Fraction, ARITHMETIC) as counts:
         Fraction(1, 2) * 3 + 1 - Fraction(1, 3)
         1 / Fraction(2)
     assert counts == Counter(__mul__=1, __add__=1, __sub__=1, __rtruediv__=1)
@@ -70,7 +87,27 @@ def test_counting_sees_fraction_arithmetic():
 def test_canonicalization_fraction_operations_are_bounded():
     cases = corpus()
     assert len(cases) == 55
-    with counting(ARITHMETIC) as counts:
+    with counting(Fraction, ARITHMETIC) as counts:
         classes = [sf_canonicalize(m)[0] for _, m in cases]
     assert [cls.tag for cls in classes] == [tag for tag, _ in cases]
     assert 0 < sum(counts.values()) <= BOUND, counts
+
+
+def tower_relations():
+    cases = json.loads(GOLDEN_TOWERS.read_text())
+    return [case["argv"][1] for case in cases if case["argv"][0] == "canon"]
+
+
+def test_tower_merges_and_root_enclosures_are_bounded():
+    matrices = [sf_from_poly(parse_poly(text)) for text in tower_relations()]
+    assert len(matrices) == 54
+    refused = 0
+    with counting(scalar, tuple(TOWER_BOUNDS)) as counts:
+        for m in matrices:
+            try:
+                sf_canonicalize(m)
+            except TowerDepthError:
+                refused += 1
+    assert refused == 1
+    for name, bound in TOWER_BOUNDS.items():
+        assert 0 < counts[name] <= bound, counts
