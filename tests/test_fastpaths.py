@@ -310,7 +310,7 @@ def mixed_scalars(draw):
     order, at most two when the nested root (depth 2) is one of them, so the
     value has depth 0-3."""
     gens = draw(st.lists(st.sampled_from(GENERATORS), max_size=3, unique_by=id))
-    if GENERATORS[3] in gens:
+    if any(g is GENERATORS[3] for g in gens):
         gens = gens[:2]
     term = as_scalar(draw(small.filter(bool)))
     for g in gens:
