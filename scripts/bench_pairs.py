@@ -14,6 +14,11 @@ timed samples, and the correctness and attempted/failed counts of each run.
 Per workload it writes each metric's medians, the parent's interquartile
 range, how many pairs the change won and lost, and the slope of
 peak_rss_mb against timed samples on each side (MB per 1,000 samples).
+Because bench/run.py keeps the result of every timed sample, a faster side
+stores more of them; so it also gives each side's median peak_rss_mb moved
+to the parent's median sample count along one slope fitted over both sides'
+runs (each side keeps its own intercept), which separates the program's
+memory from the results the harness stores.
 It reads bench/ and changes nothing in the repository except the output
 file.
 """
@@ -108,16 +113,44 @@ def quartile_spread(values) -> float:
     return q[2] - q[0]
 
 
-def rss_slope(samples, rss):
-    """Least-squares MB of peak RSS per 1,000 timed samples, or None."""
-    points = [(s, r) for s, r in zip(samples, rss) if s is not None and r is not None]
-    if len({s for s, _ in points}) < 2:
+def rss_points(table) -> list[tuple[int, float]]:
+    """(timed samples, peak_rss_mb) of each run that reported both."""
+    return [(s, r) for s, r in zip(table["samples"], table.get("peak_rss_mb", []))
+            if s is not None and r is not None]
+
+
+def rss_slope(*tables):
+    """Least-squares MB of peak RSS per timed sample, one slope over the runs
+    of all the tables, each table with its own intercept; None when no table
+    has two different sample counts."""
+    num = den = 0.0
+    for points in map(rss_points, tables):
+        if not points:
+            continue
+        ms = statistics.fmean(s for s, _ in points)
+        mr = statistics.fmean(r for _, r in points)
+        num += sum((s - ms) * (r - mr) for s, r in points)
+        den += sum((s - ms) ** 2 for s, _ in points)
+    return num / den if den else None
+
+
+def per_1000(slope):
+    return None if slope is None else round(1000 * slope, 4)
+
+
+def rss_at_samples(parent: dict, change: dict, samples) -> dict | None:
+    """Each side's median peak_rss_mb moved to `samples` timed samples along
+    the slope fitted over both sides."""
+    slope = rss_slope(parent, change)
+    if slope is None:
         return None
-    ms = statistics.fmean(s for s, _ in points)
-    mr = statistics.fmean(r for _, r in points)
-    num = sum((s - ms) * (r - mr) for s, r in points)
-    den = sum((s - ms) ** 2 for s, _ in points)
-    return round(1000 * num / den, 4)
+    out = {"samples": samples, "mb_per_1000_samples": per_1000(slope)}
+    for side, table in (("parent", parent), ("change", change)):
+        moved = [r + slope * (samples - s) for s, r in rss_points(table)]
+        out[side] = round(statistics.median(moved), 4) if moved else None
+    if out["parent"] and out["change"] is not None:
+        out["rel_change"] = round((out["change"] - out["parent"]) / out["parent"], 4)
+    return out
 
 
 def summarize(parent: dict, change: dict, metrics: dict) -> dict:
@@ -146,9 +179,12 @@ def summarize(parent: dict, change: dict, metrics: dict) -> dict:
         if any(s is not None for s in table["samples"])
     }
     out["rss_mb_per_1000_samples"] = {
-        side: rss_slope(table["samples"], table.get("peak_rss_mb", []))
+        side: per_1000(rss_slope(table))
         for side, table in (("parent", parent), ("change", change))
     }
+    if "parent" in out["samples_median"]:
+        out["peak_rss_mb_at_parent_samples"] = rss_at_samples(
+            parent, change, out["samples_median"]["parent"])
     return out
 
 

@@ -9,8 +9,11 @@ canonical shapes in `_CLASSES` (two carry a parameter q, identified with
 The canonicalization runs in stages: put the quadratic block in canonical
 form, then clear the linear column with a translation (plus a stabilizer
 element of the block where needed), then normalize the constant by scaling
-the generators.  Stages compose into a single witness, which is re-verified
-against the input before being returned.
+the generators.  The stages are composed into a single witness, not applied
+to the matrix one by one: canon2 checks the block stage itself, the later
+stages are read off the input's linear column and constant, and one
+independent check, `verify_witness` of the composed witness against the
+input, runs before the witness is returned.
 """
 
 from __future__ import annotations
@@ -168,11 +171,11 @@ def _constant(stages, c: Scalar, plain: str, shifted: str, q=None):
 
 
 def _stage2(
-    label2: Canon2Label, current: StdFormMatrix
+    label2: Canon2Label, lin: tuple[Scalar, Scalar], n: Scalar
 ) -> tuple[list[SfWitness], CanonicalClass]:
-    """Stages clearing the linear column and constant once the block is
-    canonical, and the class they reach."""
-    u, v, n = current.lin[0], current.lin[1], current.const
+    """Stages clearing the linear column lin and constant n of a matrix whose
+    block is already canonical, and the class they reach."""
+    u, v = lin
     tag = label2.tag
 
     if tag == "X2":
@@ -216,7 +219,11 @@ def _stage2(
 def sf_canonicalize(
     m: StdFormMatrix,
 ) -> tuple[CanonicalClass, StdFormMatrix, SfWitness]:
-    """Class, canonical matrix, and witness with canonical = witness.apply(m)."""
+    """Class, canonical matrix, and witness with canonical = witness.apply(m).
+
+    The stages are composed with `then` and never applied; the one check is
+    `verify_witness(canonical, m, witness)`, which raises AssertionError
+    when it fails."""
     if m.hom.is_zero():
         raise DegreeError("matrix has no quadratic part")
 
@@ -224,16 +231,18 @@ def sf_canonicalize(
     if lit is not None:
         return lit, canonical_matrix(lit), SfWitness.identity()
 
-    label2, p2x2, alpha2 = canon2(m.hom)
-    witness = SfWitness(PAffine(p2x2), alpha2)
-    current = witness.apply(m)
-    stages, cls = _stage2(label2, current)
+    label2, p, alpha2 = canon2(m.hom)
+    witness = SfWitness(PAffine(p), alpha2)
+    # canon2 has checked the block alpha2 * P1^T H P1; the stages need only
+    # the linear column alpha2 * P1^T l and the constant alpha2 * n
+    (u, v), s = m.lin, witness.scale
+    lin = ((p.a * u + p.c * v) * s, (p.b * u + p.d * v) * s)
+    stages, cls = _stage2(label2, lin, m.const * s)
     for stage in stages:
-        current = stage.apply(current)
         witness = witness.then(stage)
 
     canonical = canonical_matrix(cls)
-    if current != canonical or not verify_witness(canonical, m, witness):
+    if not verify_witness(canonical, m, witness):
         raise AssertionError(f"canonicalization produced an invalid witness for {m!r}")
     return cls, canonical, witness
 

@@ -7,16 +7,24 @@ parametric classes.  Every input entry is rational, so nearly all of the
 arithmetic is depth-0 Scalar arithmetic on Fractions (a few witnesses take
 one square root).  Before 0, 1 and -1 were shared constants that the Scalar
 operators skip, canonicalizing this corpus took 19,334 of the counted
-Fraction operations, and 8,457 while orbit samples still drew their whole
-entries as Fractions; a change that sends trivial products and sums back
-through Fraction makes the count pass the bound.
+Fraction operations, 8,457 while orbit samples still drew their whole
+entries as Fractions, and 6,517 while the canonicalizer applied each stage
+to the matrix besides composing it into the witness; a change that sends
+trivial products and sums back through Fraction, or re-applies the stages,
+makes the count pass the bound.
 
 The tower corpus is the 54 relations of the `canon` cases in
 `data/cli_golden_towers.json`, whose coefficients mix sqrt(2), sqrt(3) and
 sqrt(-1); the tower budget refuses one of them.  Canonicalizing them took
 294 tower merges and 1,589 root enclosures (`_root_candidate`) while the
 witness check merged towers entry by entry and every root ball was
-computed afresh; a change that brings either back passes the bounds.
+computed afresh, and 229 and 148 while the stages were also applied to the
+matrix (139 `apply_congruence` calls); a change that brings any of these
+back passes the bounds.
+
+`sf_canonicalize` reaches its stages from canon2's output and checks the
+composed witness once, with `verify_witness`; it never applies a witness,
+so it makes no `apply_congruence` call on either corpus.
 """
 
 import json
@@ -27,7 +35,9 @@ from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
+import quadalg.matrix as matrix
 import quadalg.scalar as scalar
+import quadalg.sfcanon as sfcanon
 from quadalg.algebra import sf_from_poly
 from quadalg.polyio import parse_poly
 from quadalg.scalar import TowerDepthError
@@ -43,8 +53,8 @@ ARITHMETIC = (
     "__add__", "__radd__", "__sub__", "__rsub__",
     "__mul__", "__rmul__", "__truediv__", "__rtruediv__",
 )
-BOUND = 6517
-TOWER_BOUNDS = {"_merge_towers": 229, "_root_candidate": 148}
+BOUND = 4779
+TOWER_BOUNDS = {"_merge_towers": 187, "_root_candidate": 134}
 GOLDEN_TOWERS = Path(__file__).resolve().parent / "data" / "cli_golden_towers.json"
 
 
@@ -111,3 +121,19 @@ def test_tower_merges_and_root_enclosures_are_bounded():
     assert refused == 1
     for name, bound in TOWER_BOUNDS.items():
         assert 0 < counts[name] <= bound, counts
+
+
+def test_canonicalization_applies_no_congruence():
+    matrices = [m for _, m in corpus()]
+    matrices += [sf_from_poly(parse_poly(text)) for text in tower_relations()]
+    with counting(sfcanon, ("apply_congruence",)) as here, \
+            counting(matrix, ("apply_congruence",)) as there:
+        for m in matrices:
+            try:
+                sf_canonicalize(m)
+            except TowerDepthError:
+                pass
+        assert here == there == Counter()
+        # the counters see a call that does happen
+        orbit_sample(matrices[0], random.Random(0))
+    assert here == Counter(apply_congruence=1)

@@ -2,10 +2,13 @@
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import quadalg.sfcanon as sfcanon
+from quadalg.algebra import sf_from_poly
 from quadalg.congruence2 import canon2, reciprocal_equivalent
 from quadalg.matrix import (
     DegreeError,
@@ -16,6 +19,7 @@ from quadalg.matrix import (
     p_compose,
     p_invert,
 )
+from quadalg.polyio import parse_poly
 from quadalg.scalar import Scalar, as_scalar, sqrt_extend
 from quadalg.sfcanon import (
     CanonicalClass,
@@ -106,6 +110,51 @@ class TestVerifyWitness:
         assert not verify_witness(j, w2, SfWitness.identity())
         shear = SfWitness(PAffine(Mat2(1, 1, 0, 1), (1, 0)), as_scalar(3))
         assert not verify_witness(j, w2, shear)
+
+
+class TestOneCheck:
+    """sf_canonicalize composes its stages without applying them, so its one
+    check, verify_witness against the input, must catch a wrong witness."""
+
+    INPUTS = {
+        "rational": lambda: orbit_sample(
+            canonical_matrix(CanonicalClass("QWEYL", as_scalar(3))), random.Random(0)
+        ),
+        "tower": lambda: sf_from_poly(
+            parse_poly("(1 + sqrt(2))*x^2 + (2*sqrt(3))*xy + (1 + sqrt(2))*y")
+        ),
+    }
+
+    @staticmethod
+    def extra_shift(real):
+        def stage2(*args):
+            stages, cls = real(*args)
+            return stages + [sfcanon._shift(1, 0)], cls
+
+        return stage2
+
+    @staticmethod
+    def doubled_alpha(real):
+        def canon(hom):
+            label, p, alpha = real(hom)
+            return label, p, 2 * alpha
+
+        return canon
+
+    @pytest.mark.parametrize("kind", sorted(INPUTS))
+    @pytest.mark.parametrize(
+        "target, fault", [("_stage2", "extra_shift"), ("canon2", "doubled_alpha")]
+    )
+    def test_bad_witness_raises(self, kind, target, fault):
+        m = self.INPUTS[kind]()
+        assert literal_class(m) is None
+        canonical = sf_canonicalize(m)[1]
+        # an x shift fixes the JORDAN and UFORM matrices; it must move this one
+        assert sfcanon._shift(1, 0).apply(canonical) != canonical
+        bad = getattr(self, fault)(getattr(sfcanon, target))
+        with mock.patch.object(sfcanon, target, bad):
+            with pytest.raises(AssertionError, match="invalid witness"):
+                sf_canonicalize(m)
 
 
 class TestScaleNormalize:
