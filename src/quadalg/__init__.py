@@ -33,11 +33,9 @@ from .matrix import (
 )
 from .congruence2 import (
     Canon2Label,
-    HSBlock,
     Label,
     canon2,
     canonical_mat2,
-    hs_block,
     kappa,
     literal_label,
     reciprocal_equivalent,
@@ -88,7 +86,6 @@ from .algebra import (
     qas_iso,
     sf_from_poly,
     verified_uv_bridge,
-    xy_linear_combination_check,
 )
 from .polyio import (
     PolySyntaxError,

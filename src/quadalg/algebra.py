@@ -25,9 +25,6 @@ from ._value import Value
 from .congruence2 import Label, reciprocal_equivalent
 from .matrix import (
     DegreeError,
-    Mat2,
-    Mat3,
-    PAffine,
     StdFormMatrix,
     coeffs_from_matrix,
     matrix_from_coeffs,
@@ -46,30 +43,6 @@ from .sfcanon import (
     sf_canonicalize,
     sf_compare,
 )
-
-__all__ = [
-    "ALGEBRA_NAMES",
-    "H_CLASS_NAMES",
-    "ENVV_BRIDGE",
-    "X_COMMUTATION",
-    "Y_COMMUTATION",
-    "AlgebraClass",
-    "HClass",
-    "HTriple",
-    "algebra_of_class",
-    "classify",
-    "classify_h",
-    "h_class_of",
-    "homogenize",
-    "homogeneous_poly_from_sf",
-    "iso_check",
-    "poly_from_sf",
-    "qas_iso",
-    "sf_from_poly",
-    "verified_uv_bridge",
-    "xy_combination_coefficients",
-    "xy_linear_combination_check",
-]
 
 
 # --- polynomial / matrix bridge -------------------------------------------
@@ -213,14 +186,11 @@ def iso_check(f: NCPoly, g: NCPoly) -> tuple[bool, Evidence]:
 
 # --- homogenization --------------------------------------------------------
 
-X_COMMUTATION = Mat3(((0, 0, 1), (0, 0, 0), (-1, 0, 0)))
-Y_COMMUTATION = Mat3(((0, 0, 0), (0, 0, 1), (0, -1, 0)))
-
 
 class HTriple(Value):
     """Three-generator presentation: the relation, read with z in the affine
     slots (so it is homogeneous by construction), beside the two fixed
-    commutation forms X_COMMUTATION and Y_COMMUTATION.
+    relations xz - zx and yz - zy that make z central.
     """
 
     __slots__ = ("relation",)
@@ -232,9 +202,6 @@ class HTriple(Value):
 
     def relation_poly(self) -> NCPoly:
         return homogeneous_poly_from_sf(self.relation)
-
-    def dehomogenized(self) -> NCPoly:
-        return poly_from_sf(self.relation)
 
 
 def homogenize(f: NCPoly) -> HTriple:
@@ -259,39 +226,6 @@ def classify_h(t: HTriple) -> HClass:
     """Name the homogenized algebra presented by the triple."""
     cls, _, _ = sf_canonicalize(t.relation)
     return h_class_of(cls)
-
-
-# --- commutation forms under substitution ----------------------------------
-
-
-def _transformed_commutation_forms(p: PAffine) -> tuple[Mat3, Mat3]:
-    pe = p.embed()
-    pt = pe.transpose()
-    return pt * X_COMMUTATION * pe, pt * Y_COMMUTATION * pe
-
-
-def xy_combination_coefficients(
-    p: PAffine,
-) -> tuple[tuple[Scalar, Scalar], tuple[Scalar, Scalar]]:
-    """Coefficients expressing the fixed forms in terms of their transforms.
-
-    Returns ((r, s), (r', s')) with r*U + s*V and r'*U + s'*V recovering the
-    x and y commutation forms, where U, V are the transforms under p.
-    """
-    u, v = _transformed_commutation_forms(p)
-    # the transforms are supported on the (0,2)/(1,2) entry pairs, so a 2x2
-    # solve determines everything; its matrix is the transpose of p.linear
-    gram = Mat2(u[0, 2], v[0, 2], u[1, 2], v[1, 2]).inverse()
-    r, s = gram.apply((Scalar.one(), Scalar.zero()))
-    rp, sp = gram.apply((Scalar.zero(), Scalar.one()))
-    return (r, s), (rp, sp)
-
-
-def xy_linear_combination_check(p: PAffine) -> bool:
-    """True when the fixed commutation forms lie in the span of their transforms."""
-    u, v = _transformed_commutation_forms(p)
-    (r, s), (rp, sp) = xy_combination_coefficients(p)
-    return (u * r + v * s) == X_COMMUTATION and (u * rp + v * sp) == Y_COMMUTATION
 
 
 # --- multiplicatively antisymmetric parameter matrices ----------------------

@@ -14,21 +14,13 @@ parts: both symmetry types are preserved by congruence, and when A is
 nonzero the ratio kappa = det(S) / pf(A)^2 is a full invariant of the
 scaled congruence class.  canon2 returns the label together with an
 explicit change of basis and scale, verified before returning.
-
-Block constructors for the classical congruence canonical forms in any
-dimension (Jordan, staircase, and paired types) are provided as literal
-matrix builders; no canonicalization is attempted above dimension two.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from ._value import Value
 from .matrix import DegreeError, Mat2
 from .scalar import Scalar, as_scalar, on_one_tower, sqrt_extend
-
-HALF = Fraction(1, 2)
 
 
 class Label(Value):
@@ -82,9 +74,6 @@ class Canon2Label(Label):
 
     TAGS = ("X2", "YX", "JORDAN", "Q")
     PARAMETRIC = ("Q",)
-
-    def matrix(self) -> Mat2:
-        return canonical_mat2(self)
 
 
 def canonical_mat2(label: Canon2Label) -> Mat2:
@@ -286,76 +275,3 @@ def stab_membership(label: Canon2Label, p: Mat2) -> bool:
     lmat = canonical_mat2(label)
     return p.transpose() * lmat * p == lmat
 
-
-# --- block constructors for the classical congruence forms ----------------
-
-MatrixRows = tuple[tuple[Scalar, ...], ...]
-
-
-class HSBlock(Value):
-    """A literal classical block: kind J, Gamma or H (see hs_block)."""
-
-    __slots__ = ("kind", "size", "parameter", "rows")
-
-    def __init__(self, kind: str, size: int, parameter: Scalar | None, rows: MatrixRows):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "parameter", parameter)
-        object.__setattr__(self, "rows", rows)
-
-
-def _jordan_rows(lam: Scalar, n: int) -> MatrixRows:
-    return tuple(
-        tuple(
-            lam if i == j else Scalar.one() if j == i + 1 else Scalar.zero()
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-
-
-def hs_block(kind: str, size: int, parameter=None) -> HSBlock:
-    """Literal canonical block: J(lambda, n), Gamma(n), or H(mu, 2n).
-
-    Gamma(n) has entries g[i][n+1-i] = g[i][n+2-i] = (-1)^(n-i) in 1-based
-    indexing (out-of-range slots dropped); H(mu, 2n) is [[0, I], [J(mu), 0]]
-    and needs mu nonzero and different from (-1)^(n+1).
-    """
-    if size < 1:
-        raise ValueError("block size must be at least 1")
-    if kind == "J":
-        lam = as_scalar(0 if parameter is None else parameter)
-        return HSBlock("J", size, lam, _jordan_rows(lam, size))
-    if kind == "Gamma":
-        if parameter is not None:
-            raise ValueError("Gamma blocks take no parameter")
-        n = size
-        rows = [[Scalar.zero()] * n for _ in range(n)]
-        for i in range(1, n + 1):
-            sign = as_scalar((-1) ** (n - i))
-            for j in (n + 1 - i, n + 2 - i):
-                if 1 <= j <= n:
-                    rows[i - 1][j - 1] = sign
-        return HSBlock("Gamma", n, None, tuple(tuple(r) for r in rows))
-    if kind == "H":
-        if size % 2 != 0:
-            raise ValueError("H blocks have even size")
-        n = size // 2
-        if parameter is None:
-            raise ValueError("H blocks need the parameter mu")
-        mu = as_scalar(parameter)
-        if mu.is_zero() or mu == (-1) ** (n + 1):
-            raise ValueError("invalid H-block parameter")
-        jr = _jordan_rows(mu, n)
-        rows = []
-        for i in range(n):
-            rows.append(
-                tuple(Scalar.zero() for _ in range(n))
-                + tuple(
-                    Scalar.one() if j == i else Scalar.zero() for j in range(n)
-                )
-            )
-        for i in range(n):
-            rows.append(jr[i] + tuple(Scalar.zero() for _ in range(n)))
-        return HSBlock("H", size, mu, tuple(rows))
-    raise ValueError(f"unknown block kind {kind!r}")

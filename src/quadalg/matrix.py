@@ -24,7 +24,7 @@ through `Mat3` stays as the independent check (`sfcanon.verify_witness`).
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from fractions import Fraction
 
 from ._value import Value
@@ -60,33 +60,8 @@ class Mat2(Value):
     def identity(cls) -> "Mat2":
         return cls(1, 0, 0, 1)
 
-    @classmethod
-    def zero(cls) -> "Mat2":
-        return cls(0, 0, 0, 0)
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence]) -> "Mat2":
-        (a, b), (c, d) = rows
-        return cls(a, b, c, d)
-
-    def rows(self):
-        return ((self.a, self.b), (self.c, self.d))
-
     def entries(self) -> tuple[Scalar, ...]:
         return (self.a, self.b, self.c, self.d)
-
-    def __add__(self, other: "Mat2") -> "Mat2":
-        return Mat2(
-            self.a + other.a, self.b + other.b, self.c + other.c, self.d + other.d
-        )
-
-    def __sub__(self, other: "Mat2") -> "Mat2":
-        return Mat2(
-            self.a - other.a, self.b - other.b, self.c - other.c, self.d - other.d
-        )
-
-    def __neg__(self) -> "Mat2":
-        return Mat2(-self.a, -self.b, -self.c, -self.d)
 
     def __mul__(self, other):
         if isinstance(other, Mat2):
@@ -101,19 +76,11 @@ class Mat2(Value):
             return Mat2(self.a * s, self.b * s, self.c * s, self.d * s)
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, (Scalar, int, Fraction)):
-            return self.__mul__(other)
-        return NotImplemented
-
     def transpose(self) -> "Mat2":
         return Mat2(self.a, self.c, self.b, self.d)
 
     def det(self) -> Scalar:
         return self.a * self.d - self.b * self.c
-
-    def trace(self) -> Scalar:
-        return self.a + self.d
 
     def inverse(self) -> "Mat2":
         det = self.det()
@@ -141,14 +108,6 @@ class Mat2(Value):
     def is_zero(self) -> bool:
         return all(e.is_zero() for e in self.entries())
 
-    def is_symmetric(self) -> bool:
-        return (self.b - self.c).is_zero()
-
-    def is_antisymmetric(self) -> bool:
-        return (
-            self.a.is_zero() and self.d.is_zero() and (self.b + self.c).is_zero()
-        )
-
     def __repr__(self):
         return f"Mat2([[{self.a}, {self.b}], [{self.c}, {self.d}]])"
 
@@ -164,26 +123,6 @@ class Mat3(Value):
             raise ValueError("Mat3 needs a 3x3 array of entries")
         object.__setattr__(self, "rows", rows)
 
-    @classmethod
-    def identity(cls) -> "Mat3":
-        return cls(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.rows[i][j]
-
-    def entries(self) -> Iterable[Scalar]:
-        for r in self.rows:
-            yield from r
-
-    def __add__(self, other: "Mat3") -> "Mat3":
-        return Mat3(
-            tuple(
-                tuple(x + y for x, y in zip(r1, r2))
-                for r1, r2 in zip(self.rows, other.rows)
-            )
-        )
-
     def __mul__(self, other):
         if isinstance(other, Mat3):
             cols = tuple(zip(*other.rows))
@@ -193,21 +132,10 @@ class Mat3(Value):
                     for r0, r1, r2 in self.rows
                 )
             )
-        if isinstance(other, (Scalar, int, Fraction)):
-            s = _s(other)
-            return Mat3(tuple(tuple(x * s for x in r) for r in self.rows))
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (Scalar, int, Fraction)):
-            return self.__mul__(other)
         return NotImplemented
 
     def transpose(self) -> "Mat3":
         return Mat3(tuple(tuple(self.rows[j][i] for j in range(3)) for i in range(3)))
-
-    def is_zero(self) -> bool:
-        return all(e.is_zero() for e in self.entries())
 
     def __repr__(self):
         body = ", ".join(

@@ -179,13 +179,6 @@ class _Ball:
         self.im = im
         self.rad = rad
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.re, self.im, self.rad) == (other.re, other.im, other.rad)
-
-    __hash__ = None
-
 
 def _ball_add(p, q):
     return _Ball(p.re + q.re, p.im + q.im, p.rad + q.rad)
@@ -500,11 +493,6 @@ class Enclosure(Value):
     def __hash__(self):
         return hash(self._key(self))
 
-    def contains_zero(self) -> bool:
-        return (
-            self.re_low <= 0 <= self.re_high and self.im_low <= 0 <= self.im_high
-        )
-
     def midpoint(self) -> tuple[Fraction, Fraction]:
         return (self.re_low + self.re_high) / 2, (self.im_low + self.im_high) / 2
 
@@ -673,20 +661,6 @@ class Scalar(Value):
     def __rtruediv__(self, other):
         return as_scalar(other) * self.inverse()
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = Scalar.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def __eq__(self, other):
         if other.__class__ is not Scalar:
             other = _operand(other)
@@ -768,10 +742,6 @@ def as_scalar(x) -> Scalar:
     if s is None:
         raise TypeError(f"cannot interpret {x!r} as a scalar")
     return s
-
-
-def is_zero(s: Scalar) -> bool:
-    return as_scalar(s).is_zero()
 
 
 def approx(s: Scalar, digits: int = 30) -> Enclosure:

@@ -70,9 +70,6 @@ class CanonicalClass(Label):
     TAGS = CANONICAL_TAGS
     PARAMETRIC = ("QPLANE", "QWEYL")
 
-    def matrix(self) -> StdFormMatrix:
-        return canonical_matrix(self)
-
 
 def canonical_matrix(cls: CanonicalClass) -> StdFormMatrix:
     block, lin, const = _CLASSES[cls.tag]

@@ -1,4 +1,5 @@
-"""Algebra naming, the UFORM/VFORM glue, homogenization, parameter matrices."""
+"""Algebra naming, the UFORM/VFORM glue, homogenization, the lemma that
+substitutions fix the commutation forms, parameter matrices."""
 
 import random
 from fractions import Fraction
@@ -12,8 +13,6 @@ from quadalg.algebra import (
     U_TO_V,
     V_RELATION,
     V_TO_U,
-    X_COMMUTATION,
-    Y_COMMUTATION,
     AlgebraClass,
     HClass,
     HTriple,
@@ -28,8 +27,6 @@ from quadalg.algebra import (
     qas_iso,
     sf_from_poly,
     verified_uv_bridge,
-    xy_combination_coefficients,
-    xy_linear_combination_check,
 )
 from quadalg.congruence2 import Canon2Label, canonical_mat2, reciprocal_equivalent
 from quadalg.matrix import DegreeError, Mat2, Mat3, PAffine, matrix_from_coeffs
@@ -50,6 +47,11 @@ Z = NCPoly.variable("z")
 ONE = NCPoly.one()
 
 ints = st.integers(min_value=-4, max_value=4)
+
+# The defining matrices of the relations xz - zx and yz - zy over the
+# generator vector (x, y, z).
+X_COMMUTATION = Mat3(((0, 0, 1), (0, 0, 0), (-1, 0, 0)))
+Y_COMMUTATION = Mat3(((0, 0, 0), (0, 0, 1), (0, -1, 0)))
 
 
 @st.composite
@@ -256,7 +258,7 @@ class TestHomogenize:
         f = X * Y * 2 - Y * Y + X * 5 - Y + ONE * 3
         t = homogenize(f)
         assert substitute({"z": ONE}, t.relation_poly()) == f
-        assert t.dehomogenized() == f
+        assert poly_from_sf(t.relation) == f
 
     def test_setting_z_to_zero_recovers_the_top_part(self):
         f = X * Y * 2 - Y * Y + X * 5 - Y + ONE * 3
@@ -266,13 +268,16 @@ class TestHomogenize:
     def test_commutation_forms_are_fixed(self):
         t = homogenize(X * X)
         with pytest.raises(TypeError):
-            HTriple(relation=t.relation, x_commutation=Mat3.identity())
+            HTriple(
+                relation=t.relation,
+                x_commutation=Mat3(((1, 0, 0), (0, 1, 0), (0, 0, 1))),
+            )
 
         def form(m):
             """The quadratic form of m over the generator vector (x, y, z)."""
             gens = (X, Y, Z)
             return sum(
-                (gens[i] * gens[j] * m[i, j] for i in range(3) for j in range(3)),
+                (gens[i] * gens[j] * m.rows[i][j] for i in range(3) for j in range(3)),
                 NCPoly.zero(),
             )
 
@@ -367,6 +372,49 @@ class TestGrading:
             else:
                 label = top[cls.tag]
             assert canonical_matrix(cls).hom == canonical_mat2(label)
+
+
+def transformed_commutation_forms(p: PAffine) -> tuple[Mat3, Mat3]:
+    pe = p.embed()
+    pt = pe.transpose()
+    return pt * X_COMMUTATION * pe, pt * Y_COMMUTATION * pe
+
+
+def combination(u: Mat3, r, v: Mat3, s) -> Mat3:
+    """r*u + s*v, entry by entry."""
+    return Mat3(
+        tuple(
+            tuple(x * r + y * s for x, y in zip(ru, rv))
+            for ru, rv in zip(u.rows, v.rows)
+        )
+    )
+
+
+def xy_combination_coefficients(p: PAffine):
+    """Coefficients expressing the fixed forms in terms of their transforms.
+
+    Returns ((r, s), (r', s')) with r*U + s*V and r'*U + s'*V recovering the
+    x and y commutation forms, where U, V are the transforms under p.
+    """
+    u, v = transformed_commutation_forms(p)
+    # the transforms are supported on the (0,2)/(1,2) entry pairs, so a 2x2
+    # solve determines everything; its matrix is the transpose of p.linear
+    gram = Mat2(u.rows[0][2], v.rows[0][2], u.rows[1][2], v.rows[1][2]).inverse()
+    r, s = gram.apply((Scalar.one(), Scalar.zero()))
+    rp, sp = gram.apply((Scalar.zero(), Scalar.one()))
+    return (r, s), (rp, sp)
+
+
+def xy_linear_combination_check(p: PAffine) -> bool:
+    """True when the fixed commutation forms lie in the span of their
+    transforms: homogenizing fixes them, so classify_h may reuse
+    sf-canonicalization of the relation alone."""
+    u, v = transformed_commutation_forms(p)
+    (r, s), (rp, sp) = xy_combination_coefficients(p)
+    return (
+        combination(u, r, v, s) == X_COMMUTATION
+        and combination(u, rp, v, sp) == Y_COMMUTATION
+    )
 
 
 class TestXYCombination:

@@ -9,7 +9,6 @@ from quadalg.congruence2 import (
     Canon2Label,
     canon2,
     canonical_mat2,
-    hs_block,
     kappa,
     stab_membership,
 )
@@ -92,7 +91,7 @@ class TestCanon2Examples:
 
     def test_zero_matrix_rejected(self):
         with pytest.raises(DegreeError):
-            canon2(Mat2.zero())
+            canon2(Mat2(0, 0, 0, 0))
 
     def test_literal_canonicals_get_identity_witness(self):
         for label in (
@@ -240,56 +239,3 @@ class TestStabilizers:
         assert stab_membership(label, p1 * p2)
         assert stab_membership(label, p1.inverse())
 
-
-class TestHSBlocks:
-    def test_jordan_one(self):
-        blk = hs_block("J", 1, 0)
-        assert blk.rows == ((Scalar.zero(),),)
-
-    def test_jordan_three(self):
-        blk = hs_block("J", 3, 5)
-        rows = blk.rows
-        assert rows[0][0] == 5 and rows[0][1] == 1 and rows[0][2] == 0
-        assert rows[1][1] == 5 and rows[1][2] == 1
-        assert rows[2][2] == 5 and rows[2][0] == 0
-
-    def test_gamma_one_and_two(self):
-        assert hs_block("Gamma", 1).rows == ((Scalar.one(),),)
-        g2 = hs_block("Gamma", 2).rows
-        assert Mat2.from_rows(g2) == Mat2(0, -1, 1, 1)
-
-    def test_gamma_three(self):
-        g = hs_block("Gamma", 3).rows
-        expected = ((0, 0, 1), (0, -1, -1), (1, 1, 0))
-        for i in range(3):
-            for j in range(3):
-                assert g[i][j] == expected[i][j]
-
-    def test_h_two(self):
-        h = hs_block("H", 2, Fraction(3)).rows
-        assert Mat2.from_rows(h) == Mat2(0, 1, 3, 0)
-
-    def test_h_four(self):
-        h = hs_block("H", 4, 2).rows
-        assert h[0][2] == 1 and h[0][3] == 0
-        assert h[1][3] == 1
-        assert h[2][0] == 2 and h[2][1] == 1
-        assert h[3][1] == 2 and h[3][0] == 0
-
-    def test_h_parameter_constraints(self):
-        with pytest.raises(ValueError):
-            hs_block("H", 2, 0)
-        with pytest.raises(ValueError):
-            hs_block("H", 2, 1)  # (-1)^(n+1) with n = 1
-        with pytest.raises(ValueError):
-            hs_block("H", 4, -1)  # (-1)^(n+1) with n = 2
-        hs_block("H", 2, -1)
-        hs_block("H", 4, 1)
-
-    def test_rejects_bad_shapes(self):
-        with pytest.raises(ValueError):
-            hs_block("H", 3, 2)
-        with pytest.raises(ValueError):
-            hs_block("Gamma", 0)
-        with pytest.raises(ValueError):
-            hs_block("spiral", 2)

@@ -15,7 +15,6 @@ from quadalg.scalar import (
     approx,
     as_scalar,
     format_scalar,
-    is_zero,
     sqrt_extend,
 )
 
@@ -58,12 +57,6 @@ class TestRationalLayer:
             frac(1) / frac(0)
         with pytest.raises(ZeroDivisionError):
             frac(0).inverse()
-
-    def test_powers(self):
-        a = frac(2, 3)
-        assert a ** 0 == 1
-        assert a ** 3 == Fraction(8, 27)
-        assert a ** -2 == Fraction(9, 4)
 
     def test_as_fraction(self):
         assert frac(7, 2).as_fraction() == Fraction(7, 2)
@@ -185,7 +178,10 @@ class TestEnclosures:
         r3 = sqrt_extend(frac(3))
         s = r2 * r3 - sqrt_extend(frac(6)) + Fraction(1, 10 ** 30)
         assert not s.is_zero()
-        assert not s.approx(100).contains_zero()
+        # s is 1e-30 and real: the 100-digit enclosure lies right of zero
+        enc = s.approx(100)
+        assert 0 < enc.re_low <= Fraction(1, 10 ** 30) <= enc.re_high
+        assert enc.im_low <= 0 <= enc.im_high
 
     def test_refinement_stops_at_the_precision_cap(self, monkeypatch):
         # sqrt(2) minus its 100-digit floor is about 1e-100: telling its sign
@@ -203,7 +199,8 @@ class TestEnclosures:
         z = (r2 + 1) * (r2 - 1) - 1
         assert z.is_zero()
         enc = z.approx(30)
-        assert enc.contains_zero()
+        assert enc.re_low <= 0 <= enc.re_high
+        assert enc.im_low <= 0 <= enc.im_high
 
 
 class TestFormatting:
@@ -283,7 +280,9 @@ def in_principal_half_plane(enc):
 def test_sqrt_is_the_principal_root(x):
     r = sqrt_extend(x)
     assert r * r == x
-    assert in_principal_half_plane(r.approx(30))
+    # p + q*sqrt(r) is zero when r is a square and p = -q*sqrt(r); zero is
+    # its own root, every other root lies in the principal half-plane
+    assert r.is_zero() if x.is_zero() else in_principal_half_plane(r.approx(30))
 
 
 @settings(max_examples=40, deadline=None)
