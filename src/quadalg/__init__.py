@@ -22,13 +22,9 @@ from .matrix import (
     DegreeError,
     Mat2,
     Mat3,
-    PAffine,
     StdFormMatrix,
-    apply_congruence,
     coeffs_from_matrix,
     matrix_from_coeffs,
-    p_compose,
-    p_invert,
     sf_map,
 )
 from .congruence2 import (
@@ -46,7 +42,6 @@ from .sfcanon import (
     CanonicalClass,
     SfWitness,
     canonical_matrix,
-    literal_class,
     orbit_sample,
     orbit_sample_with_witness,
     scaling,

@@ -1,4 +1,4 @@
-"""Matrices over exact scalars, standard forms, and the affine change group.
+"""Matrices over exact scalars and the standard form of a defining matrix.
 
 A quadratic expression in noncommuting generators x, y corresponds to a 3x3
 defining matrix via the border vector (x, y, 1): entry (i, j) multiplies the
@@ -9,17 +9,8 @@ linear entries into the top-right column, leaving the shape
      [ c, d, v ],
      [ 0, 0, n ]]
 
-Changes of variables that fix the affine structure are pairs (linear part,
-translation) embedded as [[P1, P2], [0, 1]]; they act on defining matrices by
-congruence followed by the standard-form fold.  For a standard form (H, l, n)
-and the substitution X = P1 X' + t, that action has the closed form
-
-    hom    P1^T H P1
-    lin    P1^T ((H + H^T) t + l)
-    const  t^T H t + t^T l + n
-
-which `apply_congruence` evaluates directly on 2x2 blocks.  The 3x3 product
-through `Mat3` stays as the independent check (`sfcanon.verify_witness`).
+Changes of variables that fix the affine structure act on defining matrices
+by congruence followed by this fold (`sfcanon.SfWitness`).
 """
 
 from __future__ import annotations
@@ -175,52 +166,6 @@ def sf_map(m: Mat3) -> StdFormMatrix:
     )
 
 
-class PAffine(Value):
-    """Affine substitution x' = P1 (x, y) + P2, as a block upper unitriangular 3x3."""
-
-    __slots__ = ("linear", "translation")
-
-    def __init__(self, linear: Mat2, translation: Vec2 = (0, 0)):
-        object.__setattr__(self, "linear", linear)
-        object.__setattr__(self, "translation", (_s(translation[0]), _s(translation[1])))
-        if linear.det().is_zero():
-            raise ValueError("affine substitution needs an invertible linear part")
-
-    @classmethod
-    def identity(cls) -> "PAffine":
-        return cls(Mat2.identity())
-
-    def embed(self) -> Mat3:
-        p, (e, f) = self.linear, self.translation
-        return Mat3(((p.a, p.b, e), (p.c, p.d, f), (0, 0, 1)))
-
-
-def p_compose(p: PAffine, q: PAffine) -> PAffine:
-    """Product in the substitution group; embeddings multiply the same way."""
-    lin = p.linear * q.linear
-    t = p.linear.apply(q.translation)
-    return PAffine(
-        lin, (t[0] + p.translation[0], t[1] + p.translation[1])
-    )
-
-
-def p_invert(p: PAffine) -> PAffine:
-    inv = p.linear.inverse()
-    t = inv.apply(p.translation)
-    return PAffine(inv, (-t[0], -t[1]))
-
-
-def apply_congruence(m: StdFormMatrix, p: PAffine, scale=1) -> StdFormMatrix:
-    """Standard form of scale * P^T M P, by the closed form (module docstring)."""
-    h, (u, v), n = m.hom, m.lin, m.const
-    p1, t = p.linear, p.translation
-    ht, hst = h.apply(t), h.transpose().apply(t)
-    w = (ht[0] + hst[0] + u, ht[1] + hst[1] + v)
-    const = t[0] * (ht[0] + u) + t[1] * (ht[1] + v) + n
-    p1t = p1.transpose()
-    return StdFormMatrix(p1t * h * p1, p1t.apply(w), const).scale(scale)
-
-
 # --- coefficient vector bridge -------------------------------------------
 # order: x^2, xy, yx, y^2, x, y, 1
 
@@ -232,8 +177,6 @@ def matrix_from_coeffs(coeffs: Sequence) -> StdFormMatrix:
     return StdFormMatrix(hom=Mat2(a, b, c, d), lin=(u, v), const=n)
 
 
-def coeffs_from_matrix(m) -> tuple[Scalar, ...]:
-    if isinstance(m, Mat3):
-        m = sf_map(m)
+def coeffs_from_matrix(m: StdFormMatrix) -> tuple[Scalar, ...]:
     h, (u, v), n = m.hom, m.lin, m.const
     return (h.a, h.b, h.c, h.d, u, v, n)

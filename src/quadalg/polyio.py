@@ -29,7 +29,7 @@ from .algebra import (
     poly_from_sf,
     sf_from_poly,
 )
-from .matrix import Mat2, PAffine, StdFormMatrix
+from .matrix import Mat2, StdFormMatrix
 from .ncrewrite import NCPoly, RewriteSystem, system_from_relations
 from .scalar import Scalar, as_scalar, format_scalar, sqrt_extend
 from .sfcanon import SfWitness, sf_canonicalize
@@ -397,21 +397,20 @@ def matrix_from_document(doc: dict[str, object]) -> StdFormMatrix:
 
 
 def witness_document(w: SfWitness) -> dict[str, object]:
-    p1 = w.map.linear
+    p1 = w.linear
     return {
         "P1": [
             [scalar_text(p1.a), scalar_text(p1.b)],
             [scalar_text(p1.c), scalar_text(p1.d)],
         ],
-        "P2": [scalar_text(w.map.translation[0]), scalar_text(w.map.translation[1])],
+        "P2": [scalar_text(w.translation[0]), scalar_text(w.translation[1])],
         "alpha": scalar_text(w.scale),
     }
 
 
 def witness_from_document(doc: dict[str, object]) -> SfWitness:
     return SfWitness(
-        PAffine(_block_entry(doc, "P1"), _column_entry(doc, "P2")),
-        _scalar_entry(doc, "alpha"),
+        _block_entry(doc, "P1"), _column_entry(doc, "P2"), _scalar_entry(doc, "alpha")
     )
 
 

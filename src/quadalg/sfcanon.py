@@ -13,7 +13,9 @@ the generators.  The stages are composed into a single witness, not applied
 to the matrix one by one: canon2 checks the block stage itself, the later
 stages are read off the input's linear column and constant, and one
 independent check, `verify_witness` of the composed witness against the
-input, runs before the witness is returned.
+input, runs before the witness is returned.  That check is the only place
+the canonicalizer evaluates the action (`SfWitness.apply`, a 3x3 product);
+composing the stages (`SfWitness.then`) shares no code with it.
 """
 
 from __future__ import annotations
@@ -26,20 +28,9 @@ from .congruence2 import (
     Label,
     canon2,
     canonical_mat2,
-    literal_label,
     reciprocal_equivalent,
 )
-from .matrix import (
-    DegreeError,
-    Mat2,
-    Mat3,
-    PAffine,
-    StdFormMatrix,
-    apply_congruence,
-    p_compose,
-    p_invert,
-    sf_map,
-)
+from .matrix import DegreeError, Mat2, Mat3, StdFormMatrix, Vec2, sf_map
 from .scalar import Scalar, as_scalar, on_one_tower, sqrt_extend
 
 # The eleven classes: tag -> (canonical 2x2 block, linear column, constant),
@@ -80,82 +71,90 @@ def canonical_matrix(cls: CanonicalClass) -> StdFormMatrix:
     return StdFormMatrix(hom=canonical_mat2(label), lin=lin, const=const)
 
 
-def literal_class(m: StdFormMatrix) -> CanonicalClass | None:
-    """The class label if m is literally one of the canonical matrices."""
-    block = literal_label(m.hom)
-    if block is None:
-        return None
-    for tag, (block_tag, _, _) in _CLASSES.items():
-        if block_tag != block.tag:
-            continue
-        cls = CanonicalClass(tag, block.q if tag in CanonicalClass.PARAMETRIC else None)
-        if canonical_matrix(cls) == m:
-            return cls
-    return None
-
-
 class SfWitness(Value):
-    """Change of variables with scale: apply(n) = scale * fold(map^T n map).
+    """Affine substitution X = P1 X' + P2 with a nonzero scale alpha: the one
+    element of the standard-form congruence action.  With P the 3x3
+    [[P1, P2], [0, 1]], apply(n) = alpha * fold(P^T n P).
 
-    The one element of the standard-form congruence action: canonicalization
-    stages compose with `then`, and a comparison of two canonicalizations
-    goes through `inverse`.
+    Canonicalization stages compose with `then`, and a comparison of two
+    canonicalizations goes through `inverse`; `apply` is the one evaluation
+    of the action, and `verify_witness` the one caller of it in the
+    canonicalizer.
     """
 
-    __slots__ = ("map", "scale")
+    __slots__ = ("linear", "translation", "scale")
 
-    def __init__(self, map: PAffine, scale: Scalar):
+    def __init__(self, linear: Mat2, translation: Vec2 = (0, 0), scale=1):
+        if linear.det().is_zero():
+            raise ValueError("affine substitution needs an invertible linear part")
         scale = as_scalar(scale)
         if scale.is_zero():
             raise ValueError("witness scale must be nonzero")
-        object.__setattr__(self, "map", map)
+        object.__setattr__(self, "linear", linear)
+        object.__setattr__(
+            self, "translation", (as_scalar(translation[0]), as_scalar(translation[1]))
+        )
         object.__setattr__(self, "scale", scale)
 
     @classmethod
     def identity(cls) -> "SfWitness":
-        return cls(PAffine.identity(), Scalar.one())
+        return cls(Mat2.identity())
 
     def then(self, other: "SfWitness") -> "SfWitness":
-        """First self, then other: other.apply(self.apply(n)) = result.apply(n)."""
-        return SfWitness(p_compose(self.map, other.map), self.scale * other.scale)
+        """First self, then other: other.apply(self.apply(n)) = result.apply(n).
+        Its P is the product of the two embeddings, self's first."""
+        lin = self.linear * other.linear
+        t = self.linear.apply(other.translation)
+        return SfWitness(
+            lin,
+            (t[0] + self.translation[0], t[1] + self.translation[1]),
+            self.scale * other.scale,
+        )
 
     def inverse(self) -> "SfWitness":
-        return SfWitness(p_invert(self.map), self.scale.inverse())
+        inv = self.linear.inverse()
+        t = inv.apply(self.translation)
+        return SfWitness(inv, (-t[0], -t[1]), self.scale.inverse())
+
+    def embed(self) -> Mat3:
+        p, (e, f) = self.linear, self.translation
+        return Mat3(((p.a, p.b, e), (p.c, p.d, f), (0, 0, 1)))
 
     def apply(self, n: StdFormMatrix) -> StdFormMatrix:
-        return apply_congruence(n, self.map, self.scale)
+        """alpha * fold(P^T n P), by multiplying the embedded 3x3 matrices.
+
+        It first lifts the 18 entries onto one tower (`on_one_tower`), so
+        that the product merges no towers; entries that already share one
+        are used as they are."""
+        pm, nm = self.embed(), n.embed()
+        entries = sum(pm.rows + nm.rows, ())
+        lifted = on_one_tower(entries)
+        if lifted is not entries:
+            pm = Mat3((lifted[0:3], lifted[3:6], lifted[6:9]))
+            nm = Mat3((lifted[9:12], lifted[12:15], lifted[15:18]))
+        return sf_map(pm.transpose() * nm * pm).scale(self.scale)
 
 
 def scaling(gamma) -> SfWitness:
     """Rescale the generators by gamma: keeps the quadratic block, divides the
     linear column by gamma and the constant by gamma^2."""
     gamma = as_scalar(gamma)
-    return SfWitness(PAffine(Mat2(gamma, 0, 0, gamma)), (gamma * gamma).inverse())
-
-
-def _substitution(p1: Mat2, p2) -> SfWitness:
-    return SfWitness(PAffine(p1, p2), Scalar.one())
+    if gamma.is_zero():
+        raise ValueError("affine substitution needs an invertible linear part")
+    return SfWitness(Mat2(gamma, 0, 0, gamma), scale=(gamma * gamma).inverse())
 
 
 def _shift(e, f) -> SfWitness:
-    return _substitution(Mat2.identity(), (e, f))
+    return SfWitness(Mat2.identity(), (e, f))
 
 
 def verify_witness(m: StdFormMatrix, n: StdFormMatrix, w: SfWitness) -> bool:
-    """True iff m = scale * fold(map^T n map), entrywise exact.
+    """True iff m = w.apply(n) = alpha * fold(P^T n P), entrywise exact.
 
-    The check multiplies the embedded 3x3 matrices itself, so it shares no
-    code with the closed form in `apply_congruence` that it checks.  It
-    first lifts the 18 entries onto one tower (`on_one_tower`), so that the
-    product merges no towers; entries that already share one are used as
-    they are."""
-    pm, nm = w.map.embed(), n.embed()
-    entries = sum(pm.rows + nm.rows, ())
-    lifted = on_one_tower(entries)
-    if lifted is not entries:
-        pm = Mat3((lifted[0:3], lifted[3:6], lifted[6:9]))
-        nm = Mat3((lifted[9:12], lifted[12:15], lifted[15:18]))
-    return sf_map(pm.transpose() * nm * pm).scale(w.scale) == m
+    The canonicalizer composes its stages with `then` from canon2's output
+    and `_stage2`, and never evaluates the action itself; this check shares
+    no code with that path."""
+    return w.apply(n) == m
 
 
 def _constant(stages, c: Scalar, plain: str, shifted: str, q=None):
@@ -178,7 +177,7 @@ def _stage2(
     if tag == "X2":
         if not v.is_zero():
             vin = v.inverse()
-            stage = _substitution(Mat2(1, 0, -u * vin, vin), (0, -n * vin))
+            stage = SfWitness(Mat2(1, 0, -u * vin, vin), (0, -n * vin))
             return [stage], CanonicalClass("KX")
         half_u = u * Fraction(1, 2)
         return _constant([_shift(-half_u, 0)], n - half_u * half_u, "X2", "X2_MINUS1")
@@ -203,9 +202,9 @@ def _stage2(
         # rotate the linear column onto the y slot; the same linear system
         # fixes det(P1) = 1, which keeps the antisymmetric block unscaled
         if not u.is_zero():
-            stage = _substitution(Mat2(v, u.inverse(), -u, 0), (-n / u, 0))
+            stage = SfWitness(Mat2(v, u.inverse(), -u, 0), (-n / u, 0))
         else:
-            stage = _substitution(Mat2(v, 0, -u, v.inverse()), (0, -n / v))
+            stage = SfWitness(Mat2(v, 0, -u, v.inverse()), (0, -n / v))
         return [stage], CanonicalClass("UFORM")
 
     one_m_q = 1 - q
@@ -224,12 +223,8 @@ def sf_canonicalize(
     if m.hom.is_zero():
         raise DegreeError("matrix has no quadratic part")
 
-    lit = literal_class(m)
-    if lit is not None:
-        return lit, canonical_matrix(lit), SfWitness.identity()
-
     label2, p, alpha2 = canon2(m.hom)
-    witness = SfWitness(PAffine(p), alpha2)
+    witness = SfWitness(p, scale=alpha2)
     # canon2 has checked the block alpha2 * P1^T H P1; the stages need only
     # the linear column alpha2 * P1^T l and the constant alpha2 * n
     (u, v), s = m.lin, witness.scale
@@ -293,16 +288,13 @@ def orbit_sample_with_witness(
         )
         if not lin.det().is_zero():
             break
-    p = PAffine(lin, (_rand_fraction(rng), _rand_fraction(rng)))
+    translation = (_rand_fraction(rng), _rand_fraction(rng))
     while True:
         alpha = _rand_fraction(rng)
         if alpha != 0:
             break
-    out = apply_congruence(m, p, alpha)
-    witness = SfWitness(p, as_scalar(alpha))
-    if not verify_witness(out, m, witness):
-        raise AssertionError("orbit sample witness failed verification")
-    return out, witness
+    witness = SfWitness(lin, translation, alpha)
+    return witness.apply(m), witness
 
 
 def orbit_sample(m: StdFormMatrix, rng) -> StdFormMatrix:

@@ -29,12 +29,8 @@ from quadalg.congruence2 import (
 from quadalg.matrix import (
     Mat2,
     Mat3,
-    PAffine,
     StdFormMatrix,
-    apply_congruence,
     matrix_from_coeffs,
-    p_compose,
-    p_invert,
     sf_map,
 )
 from quadalg.ncrewrite import NCPoly, locally_confluent, reduce as nc_reduce, substitute
@@ -80,12 +76,15 @@ def random_std_matrix(rng: random.Random) -> StdFormMatrix:
             return matrix_from_coeffs(coeffs)
 
 
-def random_paffine(rng: random.Random) -> PAffine:
+def random_witness(rng: random.Random, scaled: bool = True) -> SfWitness:
+    """Small integer P1 (invertible) and P2, then a nonzero rational scale,
+    or scale 1 when not scaled."""
     while True:
         lin = Mat2(*[as_scalar(rng.randint(-3, 3)) for _ in range(4)])
         if not lin.det().is_zero():
             break
-    return PAffine(lin, (as_scalar(rng.randint(-3, 3)), as_scalar(rng.randint(-3, 3))))
+    translation = (as_scalar(rng.randint(-3, 3)), as_scalar(rng.randint(-3, 3)))
+    return SfWitness(lin, translation, nonzero_fraction(rng) if scaled else 1)
 
 
 def all_canonical_classes():
@@ -100,8 +99,8 @@ def all_canonical_classes():
 
 def is_identity_witness(w: SfWitness) -> bool:
     return (
-        w.map.linear == IDENT2
-        and w.map.translation == (ZERO, ZERO)
+        w.linear == IDENT2
+        and w.translation == (ZERO, ZERO)
         and w.scale == ONE
     )
 
@@ -120,17 +119,13 @@ def test_criterion_2_orbit_soundness():
     ok = True
     for trial in range(500):
         m = random_std_matrix(rng)
-        p = random_paffine(rng)
-        alpha = as_scalar(nonzero_fraction(rng))
-        mate = apply_congruence(m, p, alpha)
+        mate = random_witness(rng).apply(m)
         c1, k1, w1 = sf_canonicalize(m)
         c2, k2, w2 = sf_canonicalize(mate)
         same = reciprocal_equivalent(c1, c2) and k1 == k2
         # witness from mate to m, composed out of the two canonicalization
         # witnesses through the shared canonical matrix
-        composed = SfWitness(
-            p_compose(w2.map, p_invert(w1.map)), w2.scale / w1.scale
-        )
+        composed = w2.then(w1.inverse())
         ok = ok and same and verify_witness(m, mate, composed)
         if trial % 10 == 0:
             decided, w = sf_congruent(m, mate)
@@ -146,16 +141,14 @@ def test_criterion_3_equivalence_relation_witnesses():
         n, w = orbit_sample_with_witness(m, rng)
         ok = ok and verify_witness(n, m, w)
         # independent re-multiplication of the defining identity
-        phat = w.map.embed()
+        phat = w.embed()
         folded = sf_map(phat.transpose() * m.embed() * phat).scale(w.scale)
         ok = ok and folded == n
         # symmetry
-        back = SfWitness(p_invert(w.map), w.scale.inverse())
-        ok = ok and verify_witness(m, n, back)
+        ok = ok and verify_witness(m, n, w.inverse())
         # transitivity through a second hop
         o, w2 = orbit_sample_with_witness(n, rng)
-        joined = SfWitness(p_compose(w.map, w2.map), w.scale * w2.scale)
-        ok = ok and verify_witness(o, m, joined)
+        ok = ok and verify_witness(o, m, w.then(w2))
     report("equivalence witnesses (500 instances)", ok)
 
 
@@ -165,7 +158,7 @@ def test_criterion_4_fold_commutes_with_substitution():
     for _ in range(1000):
         entries = [as_scalar(small_fraction(rng)) for _ in range(9)]
         m = Mat3((tuple(entries[0:3]), tuple(entries[3:6]), tuple(entries[6:9])))
-        phat = random_paffine(rng).embed()
+        phat = random_witness(rng, scaled=False).embed()
         lhs = sf_map(phat.transpose() * m * phat)
         rhs = sf_map(phat.transpose() * sf_map(m).embed() * phat)
         ok = ok and lhs == rhs

@@ -29,7 +29,7 @@ from quadalg.algebra import (
     verified_uv_bridge,
 )
 from quadalg.congruence2 import Canon2Label, canonical_mat2, reciprocal_equivalent
-from quadalg.matrix import DegreeError, Mat2, Mat3, PAffine, matrix_from_coeffs
+from quadalg.matrix import DegreeError, Mat2, Mat3, matrix_from_coeffs
 from quadalg.ncrewrite import NCPoly, substitute
 from quadalg.scalar import Scalar, as_scalar
 from quadalg.sfcanon import (
@@ -374,7 +374,7 @@ class TestGrading:
             assert canonical_matrix(cls).hom == canonical_mat2(label)
 
 
-def transformed_commutation_forms(p: PAffine) -> tuple[Mat3, Mat3]:
+def transformed_commutation_forms(p: SfWitness) -> tuple[Mat3, Mat3]:
     pe = p.embed()
     pt = pe.transpose()
     return pt * X_COMMUTATION * pe, pt * Y_COMMUTATION * pe
@@ -390,7 +390,7 @@ def combination(u: Mat3, r, v: Mat3, s) -> Mat3:
     )
 
 
-def xy_combination_coefficients(p: PAffine):
+def xy_combination_coefficients(p: SfWitness):
     """Coefficients expressing the fixed forms in terms of their transforms.
 
     Returns ((r, s), (r', s')) with r*U + s*V and r'*U + s'*V recovering the
@@ -405,7 +405,7 @@ def xy_combination_coefficients(p: PAffine):
     return (r, s), (rp, sp)
 
 
-def xy_linear_combination_check(p: PAffine) -> bool:
+def xy_linear_combination_check(p: SfWitness) -> bool:
     """True when the fixed commutation forms lie in the span of their
     transforms: homogenizing fixes them, so classify_h may reuse
     sf-canonicalization of the relation alone."""
@@ -419,13 +419,13 @@ def xy_linear_combination_check(p: PAffine) -> bool:
 
 class TestXYCombination:
     def test_identity(self):
-        assert xy_linear_combination_check(PAffine.identity())
-        (r, s), (rp, sp) = xy_combination_coefficients(PAffine.identity())
+        assert xy_linear_combination_check(SfWitness.identity())
+        (r, s), (rp, sp) = xy_combination_coefficients(SfWitness.identity())
         assert (r, s) == (1, 0)
         assert (rp, sp) == (0, 1)
 
     def test_diagonal_with_translation(self):
-        p = PAffine(Mat2(2, 0, 0, 3), (1, 1))
+        p = SfWitness(Mat2(2, 0, 0, 3), (1, 1))
         assert xy_linear_combination_check(p)
         (r, s), (rp, sp) = xy_combination_coefficients(p)
         assert (r, s) == (Fraction(1, 2), 0)
@@ -436,7 +436,7 @@ class TestXYCombination:
     def test_every_substitution_passes(self, a, b, c, d, e, f):
         if a * d - b * c == 0:
             return
-        assert xy_linear_combination_check(PAffine(Mat2(a, b, c, d), (e, f)))
+        assert xy_linear_combination_check(SfWitness(Mat2(a, b, c, d), (e, f)))
 
 
 def qas2(q):

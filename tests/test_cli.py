@@ -335,6 +335,19 @@ class TestBoundaryInputs:
         rc, _, err = run(capsys, "verify", "xy - 2yx - 1", "--report", str(report))
         assert (rc, err) == (1, "error: P1 must be 2x2\n")
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("P1", [["1", "1"], ["2", "2"]], "affine substitution needs an invertible linear part"),
+        ("alpha", "0", "witness scale must be nonzero"),
+    ], ids=["singular-P1", "zero-alpha"])
+    def test_degenerate_witness_is_refused(self, capsys, tmp_path, key, value, message):
+        rc, out, _ = run(capsys, "canon", "xy - 2yx - 1", "--format", "json")
+        doc = json.loads(out)
+        doc["witness"][key] = value
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps(doc))
+        rc, _, err = run(capsys, "verify", "xy - 2yx - 1", "--report", str(report))
+        assert (rc, err) == (1, f"error: {message}\n")
+
     @pytest.mark.parametrize("left", [
         "[[1, 1e308], [1, 1]]", "[[1, null], [1, 1]]", "[[true]]", "[[1, false], [0, 1]]",
         "[1, 1]", "7", "[" * 100_000 + "]" * 100_000, "[[" + "7" * 5000 + "]]",

@@ -5,11 +5,12 @@ sqrt(-1) and the nested sqrt(1 + sqrt(2)).  Two depth-0 operands must give
 what their Fractions give; a rational operand of +, -, * and / must give the
 same tower and the same element as lifting it and running the generic
 arithmetic under the public, normalising constructor; a level with a
-rational radicand must multiply like one without that shortcut; the
-closed-form congruence must equal the 3x3 product it replaces; the
-witness checker must not depend on the closed form at all; and an operand
-that is one of the shared constants 0, 1 and -1 must give what an equal,
-unshared value gives.
+rational radicand must multiply like one without that shortcut; the one
+evaluation of the congruence action, `SfWitness.apply`, which lifts its
+entries onto one tower, must equal the plain 3x3 product; the witness
+checker must not depend on the canonicalizer's composition of stages at
+all; and an operand that is one of the shared constants 0, 1 and -1 must
+give what an equal, unshared value gives.
 
 Lists of depth 0-3 scalars, products of those roots taken in any order and
 so over differently ordered towers, pin `on_one_tower` to the values it was
@@ -29,17 +30,9 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-import quadalg.matrix as matrix
 import quadalg.scalar as scalar
 import quadalg.sfcanon as sfcanon
-from quadalg.matrix import (
-    Mat2,
-    Mat3,
-    PAffine,
-    StdFormMatrix,
-    apply_congruence,
-    sf_map,
-)
+from quadalg.matrix import Mat2, Mat3, StdFormMatrix, sf_map
 from quadalg.scalar import (
     Scalar,
     _add,
@@ -161,7 +154,7 @@ def test_small_ints_are_the_shared_constants():
     assert as_scalar(0) is Scalar.zero() and as_scalar(1) is Scalar.one()
     assert as_scalar(-1) is as_scalar(-1) and -Scalar.zero() is Scalar.zero()
     assert Mat2.identity().b is Scalar.zero()
-    assert PAffine.identity().translation[0] is Scalar.zero()
+    assert SfWitness.identity().translation[0] is Scalar.zero()
     # the public constructor still gives a fresh value
     assert Scalar((), Fraction(0)) is not Scalar.zero()
 
@@ -229,7 +222,7 @@ def test_level_records_rational_radicands():
 
 @st.composite
 def congruence_cases(draw):
-    """(M, P, alpha) with entries over one tower; P1 invertible."""
+    """(M, witness) with entries over one tower; P1 invertible."""
     base = draw(bases)
     e = [combine(base, draw(coefficients)) for _ in range(7)]
     m = StdFormMatrix(Mat2(*e[:4]), (e[4], e[5]), e[6])
@@ -237,48 +230,56 @@ def congruence_cases(draw):
         linear = Mat2(*(combine(base, draw(coefficients)) for _ in range(4)))
         if not linear.det().is_zero():
             break
-    p = PAffine(linear, (combine(base, draw(coefficients)), combine(base, draw(coefficients))))
-    return m, p, combine(base, draw(nonzero_coefficients))
+    translation = (combine(base, draw(coefficients)), combine(base, draw(coefficients)))
+    return m, SfWitness(linear, translation, combine(base, draw(nonzero_coefficients)))
 
 
-def mat3_fold(m, p, alpha):
-    pm = p.embed()
-    return sf_map(pm.transpose() * m.embed() * pm).scale(alpha)
+def mat3_fold(m, w):
+    """The reference: the plain 3x3 product, with no lifting."""
+    pm = w.embed()
+    return sf_map(pm.transpose() * m.embed() * pm).scale(w.scale)
+
+
+def rescaled(w, factor):
+    return SfWitness(w.linear, w.translation, w.scale * factor)
 
 
 @settings(max_examples=30)
 @given(congruence_cases())
-def test_closed_form_matches_mat3_fold(case):
-    m, p, alpha = case
-    assert apply_congruence(m, p, alpha) == mat3_fold(m, p, alpha)
+def test_apply_matches_mat3_fold(case):
+    m, w = case
+    assert w.apply(m) == mat3_fold(m, w)
 
 
 def refuse(*args, **kwargs):
-    raise AssertionError("the witness checker called apply_congruence")
+    raise AssertionError("the witness checker called the canonicalizer's composition")
 
 
 @contextmanager
-def closed_form_refused():
-    """Make apply_congruence raise under every name it is imported by."""
-    with mock.patch.object(matrix, "apply_congruence", refuse), mock.patch.object(
-        sfcanon, "apply_congruence", refuse
+def composition_refused():
+    """Make the stages' composition and its sources raise: `then`,
+    `inverse`, `_stage2` and `canon2`."""
+    with mock.patch.object(SfWitness, "then", refuse), mock.patch.object(
+        SfWitness, "inverse", refuse
+    ), mock.patch.object(sfcanon, "_stage2", refuse), mock.patch.object(
+        sfcanon, "canon2", refuse
     ):
         yield
 
 
 @settings(max_examples=25)
 @given(congruence_cases())
-def test_checker_is_independent_of_closed_form(case):
-    m, p, alpha = case
+def test_checker_is_independent_of_composition(case):
+    m, w = case
     assume(not m.hom.is_zero())
-    target = apply_congruence(m, p, alpha)
-    with closed_form_refused():
-        assert verify_witness(target, m, SfWitness(p, alpha))
-        assert not verify_witness(target, m, SfWitness(p, alpha * 2))
-        assert not verify_witness(target, m, SfWitness(p, -alpha))
+    target = mat3_fold(m, w)
+    with composition_refused():
+        assert verify_witness(target, m, w)
+        assert not verify_witness(target, m, rescaled(w, 2))
+        assert not verify_witness(target, m, rescaled(w, -1))
 
 
-def test_checker_accepts_canonicalization_witnesses_without_closed_form():
+def test_checker_accepts_canonicalization_witnesses_without_composition():
     rng = random.Random(4)
     cases = []
     for hom, lin, const in (
@@ -291,10 +292,10 @@ def test_checker_accepts_canonicalization_witnesses_without_closed_form():
         _, canonical, cw = sf_canonicalize(sample)
         cases.append((sample, m, w))
         cases.append((canonical, sample, cw))
-    with closed_form_refused():
+    with composition_refused():
         for target, source, w in cases:
             assert verify_witness(target, source, w)
-            assert not verify_witness(target, source, SfWitness(w.map, w.scale * 3))
+            assert not verify_witness(target, source, rescaled(w, 3))
 
 
 # Lifting onto one tower.  A product of roots takes the tower of its factors
@@ -343,7 +344,7 @@ def test_on_one_tower_keeps_each_value(values):
 
 @st.composite
 def mixed_witness_cases(draw):
-    """(M, P, alpha): each entry is a + b s for small rationals a, b and s
+    """(M, witness): each entry is a + b s for small rationals a, b and s
     one of g, h, g h and h g for two generators g, h, so entries sit on the
     towers of g and h in both orders; P1 invertible, alpha nonzero."""
     g, h = draw(st.lists(st.sampled_from(GENERATORS), min_size=2, max_size=2,
@@ -360,30 +361,31 @@ def mixed_witness_cases(draw):
             break
     alpha = entry()
     assume(alpha)
-    return m, PAffine(linear, (entry(), entry())), alpha
+    return m, SfWitness(linear, (entry(), entry()), alpha)
 
 
-def perturbed(p):
-    """p with 1 or -1 added to its top-left entry, whichever stays invertible."""
-    lin = p.linear
+def perturbed(w):
+    """w with 1 or -1 added to the top-left entry of P1, whichever stays
+    invertible."""
+    lin = w.linear
     for delta in (1, -1):
         candidate = Mat2(lin.a + delta, lin.b, lin.c, lin.d)
         if not candidate.det().is_zero():
-            return PAffine(candidate, p.translation)
+            return SfWitness(candidate, w.translation, w.scale)
 
 
 @settings(max_examples=15)
 @given(mixed_witness_cases())
 def test_checker_accepts_mixed_tower_orbit_witnesses(case):
-    m, p, alpha = case
+    m, w = case
     assume(not m.hom.is_zero())
-    target = apply_congruence(m, p, alpha)
-    wrong = perturbed(p)
-    assume(apply_congruence(m, wrong, alpha) != target)
-    with closed_form_refused():
-        assert verify_witness(target, m, SfWitness(p, alpha))
-        assert not verify_witness(target, m, SfWitness(p, alpha * 2))
-        assert not verify_witness(target, m, SfWitness(wrong, alpha))
+    target = mat3_fold(m, w)
+    wrong = perturbed(w)
+    assume(mat3_fold(m, wrong) != target)
+    with composition_refused():
+        assert verify_witness(target, m, w)
+        assert not verify_witness(target, m, rescaled(w, 2))
+        assert not verify_witness(target, m, wrong)
 
 
 def refuse_merge(*args):
@@ -405,7 +407,7 @@ def test_rational_check_does_no_extra_work():
     for tag in ("QWEYL", "VFORM", "X2_MINUS1"):
         m = canonical_matrix(CanonicalClass(tag, 3 if tag == "QWEYL" else None))
         sample, w = orbit_sample_with_witness(m, rng)
-        entries = sum(w.map.embed().rows + m.embed().rows, ())
+        entries = sum(w.embed().rows + m.embed().rows, ())
         assert on_one_tower(entries) is entries
         built.clear()
         with mock.patch.object(Mat3, "__init__", counted_init), mock.patch.object(

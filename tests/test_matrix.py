@@ -1,4 +1,5 @@
-"""Matrix layer: standard-form fold, substitution group, congruence action."""
+"""Matrix layer: standard-form fold; the substitution group and congruence
+action of the witness type built on it."""
 
 from fractions import Fraction
 
@@ -8,16 +9,12 @@ from hypothesis import given, settings, strategies as st
 from quadalg.matrix import (
     Mat2,
     Mat3,
-    PAffine,
-    StdFormMatrix,
-    apply_congruence,
     coeffs_from_matrix,
     matrix_from_coeffs,
-    p_compose,
-    p_invert,
     sf_map,
 )
 from quadalg.scalar import Scalar, sqrt_extend
+from quadalg.sfcanon import SfWitness
 
 ints = st.integers(min_value=-6, max_value=6)
 nonzero_ints = ints.filter(lambda n: n != 0)
@@ -29,12 +26,13 @@ def mat3s(draw):
 
 
 @st.composite
-def paffines(draw):
+def substitutions(draw):
+    """Witnesses of scale 1: affine substitutions with an invertible P1."""
     while True:
         m = Mat2(draw(ints), draw(ints), draw(ints), draw(ints))
         if not m.det().is_zero():
             break
-    return PAffine(m, (draw(ints), draw(ints)))
+    return SfWitness(m, (draw(ints), draw(ints)))
 
 
 class TestMat2:
@@ -89,53 +87,52 @@ class TestStandardFormFold:
 
     def test_coeffs_from_general_matrix_sum_linear(self):
         m = Mat3([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
-        c = coeffs_from_matrix(m)
+        c = coeffs_from_matrix(sf_map(m))
         assert c[4] == 10 and c[5] == 14 and c[6] == 9
 
 
 class TestSubstitutionGroup:
     def test_compose_matches_embedding_product(self):
-        p = PAffine(Mat2(1, 2, 0, 1), (3, 4))
-        q = PAffine(Mat2(2, 0, 1, 1), (-1, 5))
-        assert p_compose(p, q).embed() == p.embed() * q.embed()
+        p = SfWitness(Mat2(1, 2, 0, 1), (3, 4))
+        q = SfWitness(Mat2(2, 0, 1, 1), (-1, 5))
+        assert p.then(q).embed() == p.embed() * q.embed()
 
     def test_inverse(self):
-        p = PAffine(Mat2(1, 2, 3, 4), (5, 6))
-        e = p_compose(p, p_invert(p))
-        assert e == PAffine.identity()
-        assert p_compose(p_invert(p), p) == PAffine.identity()
+        p = SfWitness(Mat2(1, 2, 3, 4), (5, 6), 3)
+        assert p.then(p.inverse()) == SfWitness.identity()
+        assert p.inverse().then(p) == SfWitness.identity()
 
     def test_singular_linear_part_rejected(self):
-        with pytest.raises(ValueError):
-            PAffine(Mat2(1, 1, 2, 2), (0, 0))
+        with pytest.raises(ValueError, match="invertible linear part"):
+            SfWitness(Mat2(1, 1, 2, 2), (0, 0))
+        with pytest.raises(ValueError, match="scale must be nonzero"):
+            SfWitness(Mat2.identity(), (0, 0), 0)
 
     def test_irrational_entries(self):
         r2 = sqrt_extend(Scalar.from_fraction(2))
-        p = PAffine(Mat2(r2, 0, 0, r2.inverse()), (0, 0))
-        assert p_compose(p, p_invert(p)) == PAffine.identity()
+        p = SfWitness(Mat2(r2, 0, 0, r2.inverse()), (0, 0), r2)
+        assert p.then(p.inverse()) == SfWitness.identity()
 
 
 class TestCongruenceAction:
     def test_identity_fixes(self):
         m = matrix_from_coeffs((1, 2, 3, 4, 5, 6, 7))
-        assert apply_congruence(m, PAffine.identity()) == m
+        assert SfWitness.identity().apply(m) == m
 
     def test_scaling(self):
         m = matrix_from_coeffs((1, 2, 3, 4, 5, 6, 7))
-        doubled = apply_congruence(m, PAffine.identity(), 2)
+        doubled = SfWitness(Mat2.identity(), scale=2).apply(m)
         assert doubled == m.scale(2)
 
     def test_action_composes(self):
         m = matrix_from_coeffs((1, 0, -2, 0, 0, 0, -5))
-        p = PAffine(Mat2(1, 2, 0, 1), (3, 4))
-        q = PAffine(Mat2(2, 0, 1, 1), (-1, 5))
-        step = apply_congruence(apply_congruence(m, p), q)
-        joint = apply_congruence(m, p_compose(p, q))
-        assert step == joint
+        p = SfWitness(Mat2(1, 2, 0, 1), (3, 4), 2)
+        q = SfWitness(Mat2(2, 0, 1, 1), (-1, 5), -3)
+        assert q.apply(p.apply(m)) == p.then(q).apply(m)
 
 
 @settings(max_examples=100)
-@given(m=mat3s(), p=paffines())
+@given(m=mat3s(), p=substitutions())
 def test_fold_before_or_after_congruence(m, p):
     # folding a defining matrix first never changes the folded congruence image
     pm = p.embed()
@@ -145,7 +142,7 @@ def test_fold_before_or_after_congruence(m, p):
 
 
 @settings(max_examples=60)
-@given(m=mat3s(), p=paffines(), t0=ints, t1=ints)
+@given(m=mat3s(), p=substitutions(), t0=ints, t1=ints)
 def test_fold_descends_to_classes(m, p, t0, t1):
     # shifting weight between transposed linear slots keeps the same fold
     rows = [list(r) for r in m.rows]
@@ -160,9 +157,9 @@ def test_fold_descends_to_classes(m, p, t0, t1):
 
 
 @settings(max_examples=60)
-@given(p=paffines(), q=paffines(), r=paffines())
+@given(p=substitutions(), q=substitutions(), r=substitutions())
 def test_group_axioms(p, q, r):
-    assert p_compose(p_compose(p, q), r) == p_compose(p, p_compose(q, r))
-    assert p_compose(p, PAffine.identity()) == p
-    assert p_compose(PAffine.identity(), p) == p
-    assert p_compose(p, p_invert(p)) == PAffine.identity()
+    assert p.then(q).then(r) == p.then(q.then(r))
+    assert p.then(SfWitness.identity()) == p
+    assert SfWitness.identity().then(p) == p
+    assert p.then(p.inverse()) == SfWitness.identity()

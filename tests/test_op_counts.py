@@ -8,10 +8,12 @@ arithmetic is depth-0 Scalar arithmetic on Fractions (a few witnesses take
 one square root).  Before 0, 1 and -1 were shared constants that the Scalar
 operators skip, canonicalizing this corpus took 19,334 of the counted
 Fraction operations, 8,457 while orbit samples still drew their whole
-entries as Fractions, and 6,517 while the canonicalizer applied each stage
-to the matrix besides composing it into the witness; a change that sends
-trivial products and sums back through Fraction, or re-applies the stages,
-makes the count pass the bound.
+entries as Fractions, 6,517 while the canonicalizer applied each stage
+to the matrix besides composing it into the witness, and 4,779 while
+`sf_canonicalize` tested every input for a literal canonical matrix before
+canon2 made the same test of its block; a change that sends trivial
+products and sums back through Fraction, or re-applies the stages, makes
+the count pass the bound.
 
 The tower corpus is the 54 relations of the `canon` cases in
 `data/cli_golden_towers.json`, whose coefficients mix sqrt(2), sqrt(3) and
@@ -19,31 +21,32 @@ sqrt(-1); the tower budget refuses one of them.  Canonicalizing them took
 294 tower merges and 1,589 root enclosures (`_root_candidate`) while the
 witness check merged towers entry by entry and every root ball was
 computed afresh, and 229 and 148 while the stages were also applied to the
-matrix (139 `apply_congruence` calls); a change that brings any of these
-back passes the bounds.
+matrix (139 calls of a closed-form congruence); a change that brings any of
+these back passes the bounds.
 
 `sf_canonicalize` reaches its stages from canon2's output and checks the
-composed witness once, with `verify_witness`; it never applies a witness,
-so it makes no `apply_congruence` call on either corpus.
+composed witness once, with `verify_witness`; so on either corpus it makes
+exactly one `SfWitness.apply` call per canonicalization that returns, and
+that call comes from `verify_witness`.
 """
 
 import json
 import random
+import sys
 from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
-import quadalg.matrix as matrix
 import quadalg.scalar as scalar
-import quadalg.sfcanon as sfcanon
 from quadalg.algebra import sf_from_poly
 from quadalg.polyio import parse_poly
 from quadalg.scalar import TowerDepthError
 from quadalg.sfcanon import (
     CANONICAL_TAGS,
     CanonicalClass,
+    SfWitness,
     canonical_matrix,
     orbit_sample,
     sf_canonicalize,
@@ -53,7 +56,7 @@ ARITHMETIC = (
     "__add__", "__radd__", "__sub__", "__rsub__",
     "__mul__", "__rmul__", "__truediv__", "__rtruediv__",
 )
-BOUND = 4779
+BOUND = 4774
 TOWER_BOUNDS = {"_merge_towers": 187, "_root_candidate": 134}
 GOLDEN_TOWERS = Path(__file__).resolve().parent / "data" / "cli_golden_towers.json"
 
@@ -123,17 +126,23 @@ def test_tower_merges_and_root_enclosures_are_bounded():
         assert 0 < counts[name] <= bound, counts
 
 
-def test_canonicalization_applies_no_congruence():
+def test_canonicalization_applies_the_witness_once():
     matrices = [m for _, m in corpus()]
     matrices += [sf_from_poly(parse_poly(text)) for text in tower_relations()]
-    with counting(sfcanon, ("apply_congruence",)) as here, \
-            counting(matrix, ("apply_congruence",)) as there:
+    apply = SfWitness.apply
+    callers = Counter()
+
+    def counted(self, n):
+        callers[sys._getframe(1).f_code.co_name] += 1
+        return apply(self, n)
+
+    returned = 0
+    with mock.patch.object(SfWitness, "apply", counted):
         for m in matrices:
             try:
                 sf_canonicalize(m)
             except TowerDepthError:
-                pass
-        assert here == there == Counter()
-        # the counters see a call that does happen
-        orbit_sample(matrices[0], random.Random(0))
-    assert here == Counter(apply_congruence=1)
+                continue
+            returned += 1
+    assert returned == len(matrices) - 1
+    assert callers == Counter(verify_witness=returned)

@@ -10,22 +10,13 @@ from hypothesis import given, settings, strategies as st
 import quadalg.sfcanon as sfcanon
 from quadalg.algebra import sf_from_poly
 from quadalg.congruence2 import canon2, reciprocal_equivalent
-from quadalg.matrix import (
-    DegreeError,
-    Mat2,
-    PAffine,
-    StdFormMatrix,
-    matrix_from_coeffs,
-    p_compose,
-    p_invert,
-)
+from quadalg.matrix import DegreeError, Mat2, StdFormMatrix, matrix_from_coeffs
 from quadalg.polyio import parse_poly
 from quadalg.scalar import Scalar, as_scalar, sqrt_extend
 from quadalg.sfcanon import (
     CanonicalClass,
     SfWitness,
     canonical_matrix,
-    literal_class,
     orbit_sample,
     orbit_sample_with_witness,
     scaling,
@@ -78,9 +69,9 @@ class TestExamples:
         m = matrix_from_coeffs((1, 0, 0, 0, 2, 0, 1))  # x^2 + 2x + 1
         cls, canonical, w = sf_canonicalize(m)
         assert cls.tag == "X2"
-        assert w.map.linear == Mat2.identity()
-        assert w.map.translation[0] == -1
-        assert w.map.translation[1] == 0
+        assert w.linear == Mat2.identity()
+        assert w.translation[0] == -1
+        assert w.translation[1] == 0
         assert w.scale == 1
 
     def test_weyl_with_q_two(self):
@@ -89,8 +80,8 @@ class TestExamples:
         assert cls.tag == "QWEYL"
         assert cls.q == 2
         r5 = sqrt_extend(as_scalar(5))
-        assert w.map.linear == Mat2(r5, 0, 0, r5)
-        assert w.map.translation[0] == 0 and w.map.translation[1] == 0
+        assert w.linear == Mat2(r5, 0, 0, r5)
+        assert w.translation[0] == 0 and w.translation[1] == 0
         assert w.scale == Fraction(-1, 5)
         assert verify_witness(canonical, m, w)
 
@@ -108,13 +99,14 @@ class TestVerifyWitness:
         j = canonical_matrix(CanonicalClass("JORDAN"))
         w2 = canonical_matrix(CanonicalClass("QWEYL", as_scalar(2)))
         assert not verify_witness(j, w2, SfWitness.identity())
-        shear = SfWitness(PAffine(Mat2(1, 1, 0, 1), (1, 0)), as_scalar(3))
+        shear = SfWitness(Mat2(1, 1, 0, 1), (1, 0), 3)
         assert not verify_witness(j, w2, shear)
 
 
 class TestOneCheck:
     """sf_canonicalize composes its stages without applying them, so its one
-    check, verify_witness against the input, must catch a wrong witness."""
+    check, verify_witness against the input, must catch a wrong witness; a
+    canonical input goes through the same stages and the same check."""
 
     INPUTS = {
         "rational": lambda: orbit_sample(
@@ -123,6 +115,7 @@ class TestOneCheck:
         "tower": lambda: sf_from_poly(
             parse_poly("(1 + sqrt(2))*x^2 + (2*sqrt(3))*xy + (1 + sqrt(2))*y")
         ),
+        "canonical": lambda: canonical_matrix(CanonicalClass("QWEYL", as_scalar(3))),
     }
 
     @staticmethod
@@ -147,7 +140,6 @@ class TestOneCheck:
     )
     def test_bad_witness_raises(self, kind, target, fault):
         m = self.INPUTS[kind]()
-        assert literal_class(m) is None
         canonical = sf_canonicalize(m)[1]
         # an x shift fixes the JORDAN and UFORM matrices; it must move this one
         assert sfcanon._shift(1, 0).apply(canonical) != canonical
@@ -196,14 +188,19 @@ class TestIdempotence:
             assert w == SfWitness.identity()
 
     def test_literal_class_detects_only_canonicals(self):
-        assert literal_class(matrix_from_coeffs((1, 0, 0, 0, 0, 0, 0))) is not None
-        assert literal_class(matrix_from_coeffs((2, 0, 0, 0, 0, 0, 0))) is None
+        """A canonical matrix, and only one, is its own canonical matrix with
+        the identity witness."""
+
+        def literal(coeffs):
+            m = matrix_from_coeffs(coeffs)
+            _, canonical, w = sf_canonicalize(m)
+            return canonical == m and w == SfWitness.identity()
+
+        assert literal((1, 0, 0, 0, 0, 0, 0))
+        assert not literal((2, 0, 0, 0, 0, 0, 0))
         # the q-form with a reciprocal-side parameter is not the stored rep
-        half = Fraction(1, 2)
-        assert literal_class(matrix_from_coeffs((0, -1, half, 0, 0, 0, 0))) is None
-        assert (
-            literal_class(matrix_from_coeffs((0, -1, 2, 0, 0, 0, 0))) is not None
-        )
+        assert not literal((0, -1, Fraction(1, 2), 0, 0, 0, 0))
+        assert literal((0, -1, 2, 0, 0, 0, 0))
 
 
 class TestClassification:
@@ -316,13 +313,9 @@ def test_witness_relation_laws(m, seed):
     # n = alpha fold(P^T m P): the witness runs from n back to m
     assert verify_witness(n, m, w)
     # symmetry: invert the map and the scale
-    back = SfWitness(p_invert(w.map), w.scale.inverse())
-    assert verify_witness(m, n, back)
     assert verify_witness(m, n, w.inverse())
     # transitivity through a second hop
     o, w2 = orbit_sample_with_witness(n, rng)
-    joined = SfWitness(p_compose(w.map, w2.map), w.scale * w2.scale)
-    assert verify_witness(o, m, joined)
     assert verify_witness(o, m, w.then(w2))
 
 
@@ -347,7 +340,7 @@ def test_stabilizer_form_of_shared_block_witnesses(seed):
     ok, w = sf_congruent(m, n)
     if not ok:
         return
-    p1 = w.map.linear
+    p1 = w.linear
     assert (p1.transpose() * hom * p1) * w.scale == hom
 
 
@@ -356,4 +349,4 @@ def test_stabilizer_form_of_shared_block_witnesses(seed):
 def test_every_emitted_witness_verifies(m):
     cls, canonical, w = sf_canonicalize(m)
     assert verify_witness(canonical, m, w)
-    assert not w.map.linear.det().is_zero()
+    assert not w.linear.det().is_zero()

@@ -12,7 +12,7 @@ import quadalg
 from quadalg._value import Value
 from quadalg.algebra import AlgebraClass, HTriple
 from quadalg.congruence2 import Canon2Label
-from quadalg.matrix import Mat2, Mat3, PAffine, StdFormMatrix
+from quadalg.matrix import Mat2, Mat3, StdFormMatrix
 from quadalg.ncrewrite import NCPoly, Rule, RewriteSystem, orient
 from quadalg.scalar import Enclosure, _Ball, sqrt_extend
 from quadalg.sfcanon import SfWitness
@@ -37,8 +37,6 @@ CASES = [
     (Mat3, ("rows",), lambda: Mat3(((1, 0, R2), (0, 1, 0), (0, 0, 1))),
      lambda: Mat3(((1, 0, 0), (0, 1, 0), (0, 0, 1)))),
     (StdFormMatrix, ("hom", "lin", "const"), std, lambda: std(2)),
-    (PAffine, ("linear", "translation"), lambda: PAffine(Mat2(1, 1, 0, 1), (R2, 0)),
-     lambda: PAffine(Mat2(1, 1, 0, 1))),
     (Rule, ("lhs", "rhs"), lambda: Rule("yx", X * Y), lambda: Rule("yx", -(X * Y))),
     (RewriteSystem, ("rules", "precedence"),
      lambda: RewriteSystem([orient(X * Y - Y * X, "y<x")], "y<x"),
@@ -46,8 +44,9 @@ CASES = [
     (Enclosure, ("re_low", "re_high", "im_low", "im_high"),
      lambda: Enclosure(Fraction(1), Fraction(2), Fraction(0), Fraction(0)),
      lambda: Enclosure(Fraction(1), Fraction(3), Fraction(0), Fraction(0))),
-    (SfWitness, ("map", "scale"), lambda: SfWitness(PAffine.identity(), R2),
-     lambda: SfWitness(PAffine.identity(), -R2)),
+    (SfWitness, ("linear", "translation", "scale"),
+     lambda: SfWitness(Mat2(1, 1, 0, 1), (R2, 0), R2),
+     lambda: SfWitness(Mat2(1, 1, 0, 1), (R2, 0), -R2)),
 ]
 IDS = [cls.__name__ for cls, *_ in CASES]
 
@@ -140,7 +139,7 @@ def test_ball_is_a_mutable_record():
 def test_reprs_name_the_fields():
     assert repr(Canon2Label("Q", 2)) == "Canon2Label(tag='Q', q=Scalar(2))"
     assert repr(AlgebraClass("U")) == "AlgebraClass(tag='U', q=None, via_v=False)"
-    assert repr(SfWitness(PAffine.identity(), 3)) == (
-        "SfWitness(map=PAffine(linear=Mat2([[1, 0], [0, 1]]), "
-        "translation=(Scalar(0), Scalar(0))), scale=Scalar(3))"
+    assert repr(SfWitness(Mat2.identity(), scale=3)) == (
+        "SfWitness(linear=Mat2([[1, 0], [0, 1]]), "
+        "translation=(Scalar(0), Scalar(0)), scale=Scalar(3))"
     )
