@@ -19,6 +19,10 @@ stores more of them; so it also gives each side's median peak_rss_mb moved
 to the parent's median sample count along one slope fitted over both sides'
 runs (each side keeps its own intercept), which separates the program's
 memory from the results the harness stores.
+Each workload's `over_bound` lists the end-to-end metrics whose change
+median is worse than the parent's median by more than the metric's bound
+in BENCHMARK.json (a relative change; from a parent median of 0, any
+worsening counts), the same test the benchmark gate makes.
 It reads bench/ and changes nothing in the repository except the output
 file.
 """
@@ -153,8 +157,19 @@ def rss_at_samples(parent: dict, change: dict, samples) -> dict | None:
     return out
 
 
+def worse_by(parent_median, change_median, higher_is_better: bool) -> float:
+    """How much worse the change median is than the parent's, relative to
+    it (negative when better); from a parent median of 0, infinite when
+    worse and 0 otherwise."""
+    loss = parent_median - change_median if higher_is_better else change_median - parent_median
+    if parent_median:
+        return loss / abs(parent_median)
+    return float("inf") if loss > 0 else 0.0
+
+
 def summarize(parent: dict, change: dict, metrics: dict) -> dict:
     out = {}
+    over_bound = []
     for name, spec in metrics.items():
         pairs = [(p, c) for p, c in zip(parent[name], change[name])
                  if p is not None and c is not None]
@@ -173,6 +188,9 @@ def summarize(parent: dict, change: dict, metrics: dict) -> dict:
             "parent_iqr_over_median": round(iqr / pm, 4) if pm else None,
             "pairs_change_better": better, "pairs_change_worse": worse,
         }
+        if worse_by(pm, cm, higher) > spec["bound"]:
+            over_bound.append(name)
+    out["over_bound"] = over_bound
     out["samples_median"] = {
         side: statistics.median(s for s in table["samples"] if s is not None)
         for side, table in (("parent", parent), ("change", change))

@@ -1,7 +1,9 @@
 """Exact scalar arithmetic: field laws, square roots, enclosures."""
 
+import sys
 from fractions import Fraction
 from math import isqrt
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -155,6 +157,64 @@ class TestMixedTowers:
         r2 = sqrt_extend(frac(2))
         z = (i + r2) * (i - r2)
         assert z == -3
+
+
+class TestSparseProducts:
+    """Tower elements are sparse: sqrt(2)*sqrt(3) at depth 2 has one nonzero
+    leaf of four, and the leaf products skip the zero leaves."""
+
+    @pytest.mark.parametrize("build, value, text", [
+        (lambda r2, r3, r5: (1 + r2) * (1 - r2), -1, "-1"),
+        (lambda r2, r3, r5: (3 * r2) * (r2 + 1), None, "6 + 3*sqrt(2)"),
+        (lambda r2, r3, r5: r2 * r3, None, "sqrt(2)*sqrt(3)"),
+        (lambda r2, r3, r5: (r2 + r3) * (r2 - r3), -1, "-1"),
+        (lambda r2, r3, r5: (r2 + r3) * (r2 + r3), None, "5 + 2*sqrt(2)*sqrt(3)"),
+        (lambda r2, r3, r5: r2 * r3 * r5, None, "sqrt(2)*sqrt(3)*sqrt(5)"),
+        (lambda r2, r3, r5: (r2 * r3 * r5) * (r2 * r3 * r5), 30, "30"),
+        (lambda r2, r3, r5: (r2 + r3 + r5) * (r2 + r3 - r5), None,
+         "2*sqrt(2)*sqrt(3)"),
+        (lambda r2, r3, r5: (r2 * r3 * r5) / r5, None, "sqrt(2)*sqrt(3)"),
+    ])
+    def test_identities_and_text(self, build, value, text):
+        r2, r3, r5 = (sqrt_extend(frac(k)) for k in (2, 3, 5))
+        product = build(r2, r3, r5)
+        if value is not None:
+            assert product == value
+            assert product.tower_depth == 0
+        assert format_scalar(product) == text
+
+    def test_nested_and_imaginary_roots(self):
+        n = sqrt_extend(1 + sqrt_extend(frac(2)))
+        r3, i = sqrt_extend(frac(3)), sqrt_extend(frac(-1))
+        assert format_scalar(n * n) == "1 + sqrt(2)"
+        z = n * r3 * i
+        assert z.tower_depth == 4
+        assert format_scalar(z) == "sqrt(1 + sqrt(2))*sqrt(3)*sqrt(-1)"
+        assert format_scalar(z * z) == "-3 - 3*sqrt(2)"
+
+    def test_zero_leaf_is_its_own_product(self):
+        zero, x = Fraction(0), Fraction(3, 7)
+        with mock.patch.object(Fraction, "__mul__") as fraction_mul:
+            assert scalar_module._mul(zero, x, 0, ()) is zero
+            assert scalar_module._mul(x, zero, 0, ()) is zero
+        fraction_mul.assert_not_called()
+
+    def test_tower_products_multiply_no_zero_leaf(self):
+        r2, r3, r5 = (sqrt_extend(frac(k)) for k in (2, 3, 5))
+        x, y = r2 * r3 + 1, r5 - r2
+        fraction_mul = Fraction.__mul__
+        leaf_products = []
+
+        def recorded(a, b):
+            if sys._getframe(1).f_code.co_name == "_mul":
+                leaf_products.append((a, b))
+            return fraction_mul(a, b)
+
+        with mock.patch.object(Fraction, "__mul__", recorded):
+            product = x * y
+        assert product == r2 * r3 * r5 + r5 - 2 * r3 - r2
+        assert leaf_products
+        assert all(a and b for a, b in leaf_products), leaf_products
 
 
 class TestEnclosures:
