@@ -33,7 +33,6 @@ from .congruence2 import (
     canon2,
     canonical_mat2,
     kappa,
-    literal_label,
     reciprocal_equivalent,
     stab_membership,
 )

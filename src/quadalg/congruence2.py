@@ -13,14 +13,15 @@ The decision uses the split M = A + S into antisymmetric and symmetric
 parts: both symmetry types are preserved by congruence, and when A is
 nonzero the ratio kappa = det(S) / pf(A)^2 is a full invariant of the
 scaled congruence class.  canon2 returns the label together with an
-explicit change of basis and scale, verified before returning.
+explicit change of basis and scale; `sfcanon.sf_canonicalize` checks that
+witness, as part of its composed one, before returning it.
 """
 
 from __future__ import annotations
 
 from ._value import Value
 from .matrix import DegreeError, Mat2
-from .scalar import Scalar, as_scalar, on_one_tower, sqrt_extend
+from .scalar import Scalar, as_scalar, sqrt_extend
 
 
 class Label(Value):
@@ -142,50 +143,15 @@ def _columns(u, v) -> Mat2:
     return Mat2(u[0], v[0], u[1], v[1])
 
 
-def _verify(m: Mat2, label: Canon2Label, p: Mat2, alpha: Scalar) -> None:
-    entries = (p.a, p.b, p.c, p.d, m.a, m.b, m.c, m.d)
-    lifted = on_one_tower(entries)
-    if lifted is not entries:
-        p, m = Mat2(*lifted[:4]), Mat2(*lifted[4:])
-    got = (p.transpose() * m * p) * alpha
-    if got != canonical_mat2(label):
-        raise AssertionError(
-            f"witness check failed: alpha P^T M P = {got!r} != {label}"
-        )
-    if p.det().is_zero():
-        raise AssertionError("witness linear part is singular")
-
-
-def literal_label(m: Mat2) -> Canon2Label | None:
-    """Label if m is literally one of the canonical matrices."""
-    if m == Mat2(1, 0, 0, 0):
-        return Canon2Label("X2")
-    if m == Mat2(0, 0, 1, 0):
-        return Canon2Label("YX")
-    if m == Mat2(0, -1, 1, 1):
-        return Canon2Label("JORDAN")
-    if m.a.is_zero() and m.d.is_zero() and (m.b + 1).is_zero():
-        q = m.c
-        if q.is_zero():
-            return None
-        if q == 1 or q == -1:
-            return Canon2Label("Q", q)
-        k = kappa(m)
-        if not (k + 1).is_zero():
-            canonical_q, _ = _canonical_q_from_kappa(k)
-            if q == canonical_q:
-                return Canon2Label("Q", q)
-    return None
-
-
 def canon2(m: Mat2) -> tuple[Canon2Label, Mat2, Scalar]:
-    """Label a nonzero 2x2 matrix and witness it: alpha * P^T m P = label matrix."""
+    """Label a nonzero 2x2 matrix and witness it: alpha * P^T m P = label matrix.
+
+    A canonical matrix gets the identity witness and keeps its own q.  The
+    witness is not checked here: `sfcanon.sf_canonicalize` checks the
+    composed 3x3 witness once, with `verify_witness`.
+    """
     if m.is_zero():
         raise DegreeError("cannot canonicalize the zero matrix")
-
-    lit = literal_label(m)
-    if lit is not None:
-        return lit, Mat2.identity(), Scalar.one()
 
     s = m.symmetric_part()
     p = m.pfaffian()
@@ -200,71 +166,63 @@ def canon2(m: Mat2) -> tuple[Canon2Label, Mat2, Scalar]:
             else:
                 pw = Mat2(0, 1, 1, 0)
                 alpha = s.d.inverse()
-            _verify(m, label, pw, alpha)
-            return label, pw, alpha
-        label = Canon2Label("Q", as_scalar(-1))
-        tau = sqrt_extend(-dets)
-        u, v, w = _isotropic_pair(s, tau)
-        pw = _columns(u, v)
-        alpha = -w.inverse()
-        _verify(m, label, pw, alpha)
-        return label, pw, alpha
-
-    if s.is_zero():
+        else:
+            label = Canon2Label("Q", as_scalar(-1))
+            tau = sqrt_extend(-dets)
+            u, v, w = _isotropic_pair(s, tau)
+            pw = _columns(u, v)
+            alpha = -w.inverse()
+    elif s.is_zero():
         label = Canon2Label("Q", Scalar.one())
         pw = Mat2.identity()
         alpha = p.inverse()
-        _verify(m, label, pw, alpha)
-        return label, pw, alpha
-
-    k = s.det() / (p * p)
-
-    if k.is_zero():
-        # symmetric part has rank one: the Jordan-type class
-        label = Canon2Label("JORDAN")
-        lam, v = _rank1_symmetric_factor(s)
-        t = -p / lam
-        c1 = (-v[1], v[0])
-        if not v[0].is_zero():
-            c2 = (t / v[0], Scalar.zero())
+    else:
+        k = s.det() / (p * p)
+        if k.is_zero():
+            # symmetric part has rank one: the Jordan-type class
+            label = Canon2Label("JORDAN")
+            lam, v = _rank1_symmetric_factor(s)
+            t = -p / lam
+            c1 = (-v[1], v[0])
+            if not v[0].is_zero():
+                c2 = (t / v[0], Scalar.zero())
+            else:
+                c2 = (Scalar.zero(), t / v[1])
+            pw = _columns(c1, c2)
+            alpha = lam / (p * p)
+        elif (k + 1).is_zero():
+            # det m = det s + p^2 = 0: rank one, but not symmetric
+            label = Canon2Label("YX")
+            if not (m.a.is_zero() and m.b.is_zero()):
+                wvec = (m.a, m.b)
+                uvec = (
+                    Scalar.one(),
+                    (m.c / m.a) if not m.a.is_zero() else (m.d / m.b),
+                )
+            else:
+                wvec = (m.c, m.d)
+                uvec = (Scalar.zero(), Scalar.one())
+            c1 = (-uvec[1], uvec[0])
+            c2 = (-wvec[1], wvec[0])
+            delta = c2[0] * uvec[0] + c2[1] * uvec[1]
+            pw = _columns(c1, c2)
+            alpha = -(delta * delta).inverse()
         else:
-            c2 = (Scalar.zero(), t / v[1])
-        pw = _columns(c1, c2)
-        alpha = lam / (p * p)
-        _verify(m, label, pw, alpha)
-        return label, pw, alpha
+            q, sigma = _canonical_q_from_kappa(k)
+            label = Canon2Label("Q", q)
+            tau = sigma * p  # a square root of -det(s), coherent with sigma
+            u, v, w = _isotropic_pair(s, tau)
+            d = u[0] * v[1] - u[1] * v[0]
+            if d * p / w != sigma.inverse():
+                u, v = v, u
+            pw = _columns(u, v)
+            alpha = (q - 1) / (2 * w)
 
-    if (k + 1).is_zero():
-        # det m = det s + p^2 = 0: rank one, but not symmetric
-        label = Canon2Label("YX")
-        if not (m.a.is_zero() and m.b.is_zero()):
-            wvec = (m.a, m.b)
-            uvec = (
-                Scalar.one(),
-                (m.c / m.a) if not m.a.is_zero() else (m.d / m.b),
-            )
-        else:
-            wvec = (m.c, m.d)
-            uvec = (Scalar.zero(), Scalar.one())
-        c1 = (-uvec[1], uvec[0])
-        c2 = (-wvec[1], wvec[0])
-        delta = c2[0] * uvec[0] + c2[1] * uvec[1]
-        pw = _columns(c1, c2)
-        alpha = -(delta * delta).inverse()
-        _verify(m, label, pw, alpha)
-        return label, pw, alpha
-
-    q, sigma = _canonical_q_from_kappa(k)
-    label = Canon2Label("Q", q)
-    tau = sigma * p  # a square root of -det(s), coherent with sigma
-    u, v, w = _isotropic_pair(s, tau)
-    d = u[0] * v[1] - u[1] * v[0]
-    if d * p / w != sigma.inverse():
-        u, v = v, u
-        d, w = -d, w
-    pw = _columns(u, v)
-    alpha = (q - 1) / (2 * w)
-    _verify(m, label, pw, alpha)
+    if m == canonical_mat2(label):
+        if label.q is not None:
+            # the input's own q: the computed one is equal but may print differently
+            label = Canon2Label("Q", m.c)
+        return label, Mat2.identity(), Scalar.one()
     return label, pw, alpha
 
 

@@ -10,12 +10,12 @@ The canonicalization runs in stages: put the quadratic block in canonical
 form, then clear the linear column with a translation (plus a stabilizer
 element of the block where needed), then normalize the constant by scaling
 the generators.  The stages are composed into a single witness, not applied
-to the matrix one by one: canon2 checks the block stage itself, the later
-stages are read off the input's linear column and constant, and one
-independent check, `verify_witness` of the composed witness against the
-input, runs before the witness is returned.  That check is the only place
-the canonicalizer evaluates the action (`SfWitness.apply`, a 3x3 product);
-composing the stages (`SfWitness.then`) shares no code with it.
+to the matrix one by one: canon2 gives the block stage unchecked, the later
+stages are read off the linear column and constant that the block stage
+yields, and one independent check, `verify_witness` of the composed witness
+against the input, runs before the witness is returned.  That check is the
+only place the canonicalizer evaluates the action (`SfWitness.apply`, a 3x3
+product); composing the stages (`SfWitness.then`) shares no code with it.
 """
 
 from __future__ import annotations
@@ -225,8 +225,8 @@ def sf_canonicalize(
 
     label2, p, alpha2 = canon2(m.hom)
     witness = SfWitness(p, scale=alpha2)
-    # canon2 has checked the block alpha2 * P1^T H P1; the stages need only
-    # the linear column alpha2 * P1^T l and the constant alpha2 * n
+    # the stages need only the linear column alpha2 * P1^T l and the constant
+    # alpha2 * n; the block alpha2 * P1^T H P1 is checked with the rest below
     (u, v), s = m.lin, witness.scale
     lin = ((p.a * u + p.c * v) * s, (p.b * u + p.d * v) * s)
     stages, cls = _stage2(label2, lin, m.const * s)

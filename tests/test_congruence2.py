@@ -13,6 +13,7 @@ from quadalg.congruence2 import (
     stab_membership,
 )
 from quadalg.matrix import DegreeError, Mat2
+from quadalg.polyio import parse_scalar
 from quadalg.scalar import Scalar, as_scalar, sqrt_extend
 
 ints = st.integers(min_value=-5, max_value=5)
@@ -104,6 +105,15 @@ class TestCanon2Examples:
         ):
             got, p, alpha = canon2(canonical_mat2(label))
             assert got == label
+            assert p == Mat2.identity()
+            assert alpha == 1
+        # the label carries the input's own q, whose text a recomputed
+        # root would not keep
+        for text in ("sqrt(2)", "sqrt(-1)", "1/2*sqrt(6) + 1/2*sqrt(2)"):
+            label = Canon2Label("Q", parse_scalar(text))
+            got, p, alpha = canon2(canonical_mat2(label))
+            assert got == label
+            assert str(got.q) == text
             assert p == Mat2.identity()
             assert alpha == 1
 

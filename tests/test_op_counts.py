@@ -9,36 +9,40 @@ one square root).  Before 0, 1 and -1 were shared constants that the Scalar
 operators skip, canonicalizing this corpus took 19,334 of the counted
 Fraction operations, 8,457 while orbit samples still drew their whole
 entries as Fractions, 6,517 while the canonicalizer applied each stage
-to the matrix besides composing it into the witness, and 4,779 while
+to the matrix besides composing it into the witness, 4,779 while
 `sf_canonicalize` tested every input for a literal canonical matrix before
-canon2 made the same test of its block; a change that sends trivial
-products and sums back through Fraction, or re-applies the stages, makes
-the count pass the bound.
+canon2 made the same test of its block, and 4,612 while canon2 checked its
+own block witness and ran that literal test ahead of its branches; a change
+that sends trivial products and sums back through Fraction, re-applies the
+stages or checks the block twice makes the count pass the bound.
 
 The tower corpus is the 54 relations of the `canon` cases in
 `data/cli_golden_towers.json`, whose coefficients mix sqrt(2), sqrt(3) and
 sqrt(-1); the tower budget refuses one of them.  Canonicalizing them took
 294 tower merges and 1,589 root enclosures (`_root_candidate`) while the
 witness check merged towers entry by entry and every root ball was
-computed afresh, and 229 and 148 while the stages were also applied to the
-matrix (139 calls of a closed-form congruence); a change that brings any of
-these back passes the bounds.  The same canonicalizations took 224,648 of
-the counted Fraction operations while the leaf products of the tower
-recursion multiplied zero leaves too, and 147,248 once a zero leaf became
-its own product; a change that multiplies zero leaves again passes that
-bound.
+computed afresh, 229 and 148 while the stages were also applied to the
+matrix (139 calls of a closed-form congruence), and 187 and 134 while
+canon2 checked its block witness too; a change that brings any of these
+back passes the bounds.  The same canonicalizations took 224,648 of the
+counted Fraction operations while the leaf products of the tower recursion
+multiplied zero leaves too, 147,248 once a zero leaf became its own
+product, and 138,639 once canon2 stopped checking its block; a change that
+multiplies zero leaves again passes that bound.
 
 `sf_canonicalize` reaches its stages from canon2's output and checks the
 composed witness once, with `verify_witness`; so on either corpus it makes
 exactly one `SfWitness.apply` call per canonicalization that returns, and
-that call comes from `verify_witness`.
+that call comes from `verify_witness`.  canon2 does not check its block
+itself, so the one lift onto a common tower (`on_one_tower`) per
+canonicalization is the one inside that `apply`.
 """
 
 import json
 import random
 import sys
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -60,9 +64,9 @@ ARITHMETIC = (
     "__add__", "__radd__", "__sub__", "__rsub__",
     "__mul__", "__rmul__", "__truediv__", "__rtruediv__",
 )
-BOUND = 4774
-TOWER_FRACTION_BOUND = 150_200
-TOWER_BOUNDS = {"_merge_towers": 187, "_root_candidate": 134}
+BOUND = 3843
+TOWER_FRACTION_BOUND = 138_639
+TOWER_BOUNDS = {"_merge_towers": 165, "_root_candidate": 133}
 GOLDEN_TOWERS = Path(__file__).resolve().parent / "data" / "cli_golden_towers.json"
 
 
@@ -136,15 +140,25 @@ def test_tower_merges_and_root_enclosures_are_bounded():
 def test_canonicalization_applies_the_witness_once():
     matrices = [m for _, m in corpus()]
     matrices += [sf_from_poly(parse_poly(text)) for text in tower_relations()]
-    apply = SfWitness.apply
-    callers = Counter()
+    apply, lift = SfWitness.apply, scalar.on_one_tower
+    callers, lifters = Counter(), Counter()
 
     def counted(self, n):
         callers[sys._getframe(1).f_code.co_name] += 1
         return apply(self, n)
 
+    def counted_lift(values):
+        lifters[sys._getframe(1).f_code.co_name] += 1
+        return lift(values)
+
+    # every module that imported the function binds it under its own name
+    lifting = [module for name, module in sys.modules.items()
+               if name.startswith("quadalg") and getattr(module, "on_one_tower", None) is lift]
     returned = 0
-    with mock.patch.object(SfWitness, "apply", counted):
+    with ExitStack() as patches:
+        patches.enter_context(mock.patch.object(SfWitness, "apply", counted))
+        for module in lifting:
+            patches.enter_context(mock.patch.object(module, "on_one_tower", counted_lift))
         for m in matrices:
             try:
                 sf_canonicalize(m)
@@ -153,3 +167,4 @@ def test_canonicalization_applies_the_witness_once():
             returned += 1
     assert returned == len(matrices) - 1
     assert callers == Counter(verify_witness=returned)
+    assert lifters == Counter(apply=returned)
