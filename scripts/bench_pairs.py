@@ -22,7 +22,10 @@ memory from the results the harness stores.
 Each workload's `over_bound` lists the end-to-end metrics whose change
 median is worse than the parent's median by more than the metric's bound
 in BENCHMARK.json (a relative change; from a parent median of 0, any
-worsening counts), the same test the benchmark gate makes.
+worsening counts), the same test the benchmark gate makes; its
+`near_bound` lists those worse by more than half their bound (the
+over-bound ones included), so a metric creeping toward its bound shows
+before the gate trips.
 It reads bench/ and changes nothing in the repository except the output
 file.
 """
@@ -169,7 +172,7 @@ def worse_by(parent_median, change_median, higher_is_better: bool) -> float:
 
 def summarize(parent: dict, change: dict, metrics: dict) -> dict:
     out = {}
-    over_bound = []
+    over_bound, near_bound = [], []
     for name, spec in metrics.items():
         pairs = [(p, c) for p, c in zip(parent[name], change[name])
                  if p is not None and c is not None]
@@ -188,9 +191,13 @@ def summarize(parent: dict, change: dict, metrics: dict) -> dict:
             "parent_iqr_over_median": round(iqr / pm, 4) if pm else None,
             "pairs_change_better": better, "pairs_change_worse": worse,
         }
-        if worse_by(pm, cm, higher) > spec["bound"]:
+        loss = worse_by(pm, cm, higher)
+        if loss > spec["bound"]:
             over_bound.append(name)
+        if loss > spec["bound"] / 2:
+            near_bound.append(name)
     out["over_bound"] = over_bound
+    out["near_bound"] = near_bound
     out["samples_median"] = {
         side: statistics.median(s for s in table["samples"] if s is not None)
         for side, table in (("parent", parent), ("change", change))

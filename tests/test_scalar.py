@@ -6,7 +6,7 @@ from math import isqrt
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import quadalg.scalar as scalar_module
 from quadalg.scalar import (
@@ -17,6 +17,7 @@ from quadalg.scalar import (
     approx,
     as_scalar,
     format_scalar,
+    on_one_tower,
     sqrt_extend,
 )
 
@@ -215,6 +216,113 @@ class TestSparseProducts:
         assert product == r2 * r3 * r5 + r5 - 2 * r3 - r2
         assert leaf_products
         assert all(a and b for a, b in leaf_products), leaf_products
+
+
+def nest(leaves):
+    """The element whose depth-0 slots are `leaves`, 2**depth of them."""
+    while len(leaves) > 1:
+        leaves = [(leaves[i], leaves[i + 1]) for i in range(0, len(leaves), 2)]
+    return leaves[0]
+
+
+def transplant_by_product(e, depth, maps, tower):
+    """Reference transplant by the general product: ea + eb * root at the
+    target's full depth, with an admitted level k of `maps` written as the
+    element sqrt(r_k) there (a found root is an element there already)."""
+    td = len(tower)
+    roots = []
+    for m in maps:
+        if m.__class__ is int:
+            root = (scalar_module._zero(m), scalar_module._lift(Fraction(1), 0, m))
+            m = scalar_module._lift(root, m + 1, td)
+        roots.append(m)
+
+    def carry(e, depth):
+        if depth == 0:
+            return scalar_module._lift(e, 0, td)
+        a, b = e
+        eb = scalar_module._mul(carry(b, depth - 1), roots[depth - 1], td, tower)
+        return scalar_module._add(carry(a, depth - 1), eb, td)
+
+    return carry(e, depth)
+
+
+scales = st.fractions(min_value=Fraction(1, 3), max_value=3, max_denominator=3)
+signs = st.sampled_from([1, -1])
+
+
+@st.composite
+def over(draw, root):
+    """An element over root's tower with a nonzero top leaf, so that it keeps
+    the whole tower."""
+    depth = root.tower_depth
+    leaves = draw(st.lists(small_fractions, min_size=2 ** depth - 1,
+                           max_size=2 ** depth - 1))
+    return Scalar(root._tower, nest(leaves + [draw(nonzero_fractions)]))
+
+
+@st.composite
+def merge_cases(draw):
+    """x over sqrt(+-2 s^2), maybe with a nested level sqrt(c + d*sqrt(..))
+    on top, and y over sqrt(+-2 t^2), sqrt(+-3 u^2), maybe with a nested
+    level on top: merging y's tower into x's finds y's first root inside it
+    and admits a level for its second."""
+    sign = draw(signs)
+    ra = sqrt_extend(frac(2 * sign) * draw(scales) ** 2)
+    if draw(st.booleans()):
+        ra = sqrt_extend(draw(nonzero_fractions) + draw(nonzero_fractions) * ra)
+    rb = sqrt_extend(frac(2 * sign) * draw(scales) ** 2)
+    rb = rb * sqrt_extend(frac(3 * draw(signs)) * draw(scales) ** 2)
+    if draw(st.booleans()):
+        rb = sqrt_extend(draw(nonzero_fractions) + draw(nonzero_fractions) * rb)
+    return draw(over(ra)), draw(over(rb))
+
+
+class TestTowerMerges:
+    """A merge carries values over by placement: a level it admits for a
+    root is recorded by its index, and multiplying by that root moves slots
+    instead of taking a full-depth product."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=merge_cases())
+    def test_placement_equals_the_general_product(self, case):
+        x, y = case
+        tower, maps = scalar_module._merge_towers(x._tower, y._tower)
+        assume(any(m.__class__ is int for m in maps))
+        assert any(m.__class__ is not int for m in maps)
+        placed = scalar_module._transplant(y._elt, y.tower_depth, maps, tower)
+        product = transplant_by_product(y._elt, y.tower_depth, maps, tower)
+        assert placed == product
+        placed, product = Scalar(tower, placed), Scalar(tower, product)
+        assert format_scalar(placed) == format_scalar(product)
+        assert placed.approx(30) == product.approx(30)
+        # the public paths that merge: on_one_tower and an op on both values
+        lifted = on_one_tower([x, y])
+        assert lifted[0] is x
+        assert lifted[1]._elt == product._elt
+        assert format_scalar(lifted[1]) == format_scalar(product)
+        ex = scalar_module._lift(x._elt, x.tower_depth, len(tower))
+        total = Scalar(tower, scalar_module._add(ex, product._elt, len(tower)))
+        assert format_scalar(x + y) == format_scalar(total)
+        assert (x + y).approx(30) == total.approx(30)
+
+    def test_admitted_root_takes_no_full_depth_product(self):
+        x = 1 + sqrt_extend(frac(2))
+        y = 2 - sqrt_extend(frac(3))
+        mul = scalar_module._mul
+        depths = []
+
+        def recorded(a, b, depth, tower):
+            depths.append(depth)
+            return mul(a, b, depth, tower)
+
+        with mock.patch.object(scalar_module, "_mul", recorded):
+            total = x + y
+            lifted = on_one_tower([x, y])
+        assert format_scalar(total) == "3 + sqrt(2) - sqrt(3)"
+        assert [v.tower_depth for v in lifted] == [1, 2]
+        assert format_scalar(lifted[1]) == "2 - sqrt(3)"
+        assert 2 not in depths, depths
 
 
 class TestEnclosures:
