@@ -25,17 +25,15 @@ value over by placing it, not by multiplying: a level admitted for one of
 the other tower's roots is recorded by its index k, and multiplying by
 that root moves slots, ``(a, b) -> (b*r_k, a)`` at level k and the same
 move on both halves above it.  Only a root found inside the tower is
-recorded as an element and taken by a general product.  On the 54 tower
-relations of the golden CLI cases this cut the Fraction operations of
-canonicalization from 138,639 to 124,507.
+recorded as an element and taken by a general product.
 
 The representation of a depth-k element is a nested pair ``(a, b)`` standing
 for ``a + b*sqrt(r_k)`` with ``a``, ``b`` at depth k-1 and plain ``Fraction``
-values at depth 0.  Rational data never enters that recursion at full depth:
-a rational operand of +, - or * touches the innermost slot or scales every
-slot, and a rational radicand multiplies as a plain ``Fraction``.  Two
-rational operands never enter it at all: the operators work on their
-``Fraction``s directly.
+values at depth 0.  Two rational operands never enter that recursion: the
+operators work on their ``Fraction``s directly.  A rational factor of a
+tower value scales every slot.  Any other rational operand is lifted onto
+the other operand's tower like a value over a prefix of it, and every
+radicand, rational or not, multiplies through ``_mul``.
 
 The constants 0, 1 and -1 are three shared Scalars (``ZERO``, ``ONE`` and
 ``MINUS_ONE``): ``Scalar.zero()``, ``Scalar.one()`` and every int operand of
@@ -50,9 +48,7 @@ so such a test would be paid on nearly every op for nothing.
 The leaves of the tower recursion are the exception.  Nested elements are
 sparse (``sqrt(2)*sqrt(3)`` at depth 2 has one nonzero leaf of four), so the
 depth-0 case of ``_mul`` returns a zero leaf as the product instead of
-calling ``Fraction.__mul__``.  Every tower product takes that path; on the
-54 tower relations of the golden CLI cases it cut the Fraction operations
-of canonicalization from 224,648 to 147,248.
+calling ``Fraction.__mul__``.  Every tower product takes that path.
 """
 
 from __future__ import annotations
@@ -108,13 +104,6 @@ def _is_zero(e, depth):
     return _is_zero(e[0], depth - 1) and _is_zero(e[1], depth - 1)
 
 
-def _add_rational(x, fr, depth):
-    """x + fr for a rational fr: only the innermost rational slot changes."""
-    if depth == 0:
-        return x + fr
-    return (_add_rational(x[0], fr, depth - 1), x[1])
-
-
 def _add(x, y, depth):
     if depth == 0:
         return x + y
@@ -131,14 +120,6 @@ def _sub(x, y, depth):
     return _add(x, _neg(y, depth), depth)
 
 
-def _mul_radicand(x, depth, tower):
-    """x times the radicand of tower[depth], with x at that level's depth."""
-    level = tower[depth]
-    if level.rational is not None:
-        return _scale(x, level.rational, depth)
-    return _mul(x, level.radicand, depth, tower)
-
-
 def _mul(x, y, depth, tower):
     if depth == 0:
         # a zero leaf is its own product (see the module docstring)
@@ -152,14 +133,14 @@ def _mul(x, y, depth, tower):
     d = depth - 1
     bb = _mul(b1, b2, d, tower)
     return (
-        _add(_mul(a1, a2, d, tower), _mul_radicand(bb, d, tower), d),
+        _add(_mul(a1, a2, d, tower), _mul(bb, tower[d].radicand, d, tower), d),
         _add(_mul(a1, b2, d, tower), _mul(b1, a2, d, tower), d),
     )
 
 
 def _norm(a, b, depth, tower):
     """a^2 - b^2 r: the norm of a + b sqrt(r) to the subfield, r = tower[depth]."""
-    bbr = _mul_radicand(_mul(b, b, depth, tower), depth, tower)
+    bbr = _mul(_mul(b, b, depth, tower), tower[depth].radicand, depth, tower)
     return _sub(_mul(a, a, depth, tower), bbr, depth)
 
 
@@ -178,12 +159,6 @@ def _scale(x, fr, depth):
     if depth == 0:
         return x * fr
     return (_scale(x[0], fr, depth - 1), _scale(x[1], fr, depth - 1))
-
-
-def _elt_eq(x, y, depth):
-    if depth == 0:
-        return x == y
-    return _elt_eq(x[0], y[0], depth - 1) and _elt_eq(x[1], y[1], depth - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -244,31 +219,19 @@ def _csqrt(re: Fraction, im: Fraction, digits: int):
     return im / (2 * b), b
 
 
-def _rational_value(e, depth) -> Fraction | None:
-    """The Fraction that e equals, or None when e is irrational."""
-    while depth > 0:
-        e, b = e
-        depth -= 1
-        if not _is_zero(b, depth):
-            return None
-    return e
-
-
 class _Level:
-    """One tower level: its radicand (an element one level down), that
-    radicand as a Fraction when it is rational, and the balls around the
-    level's root found so far, by precision in digits.  The level's root is
-    the principal square root of the radicand.
+    """One tower level: its radicand (an element one level down) and the
+    balls around the level's root found so far, by precision in digits.  The
+    level's root is the principal square root of the radicand.
 
     A level sits at one index over one fixed prefix (towers only grow by
     ``tower + (level,)``), so its root ball at a given precision never
     changes and `_root_ball` computes it once."""
 
-    __slots__ = ("radicand", "rational", "balls")
+    __slots__ = ("radicand", "balls")
 
-    def __init__(self, radicand, depth):
+    def __init__(self, radicand):
         self.radicand = radicand
-        self.rational = _rational_value(radicand, depth)
         self.balls = {}
 
 
@@ -432,10 +395,10 @@ def _same_tower(ta, tb):
         return True
     if len(ta) != len(tb):
         return False
-    for i, (la, lb) in enumerate(zip(ta, tb)):
+    for la, lb in zip(ta, tb):
         if la is lb:
             continue
-        if not _elt_eq(la.radicand, lb.radicand, i):
+        if la.radicand != lb.radicand:
             return False
     return True
 
@@ -451,7 +414,7 @@ def _mul_root(x, k, depth, tower):
     slots move, (a, b) -> (b * r_k, a), and above it both halves move."""
     a, b = x
     if depth == k + 1:
-        return (_mul_radicand(b, k, tower), a)
+        return (_mul(b, tower[k].radicand, k, tower), a)
     d = depth - 1
     return (_mul_root(a, k, d, tower), _mul_root(b, k, d, tower))
 
@@ -506,7 +469,7 @@ def _merge_towers(ta, tb):
                 "merging scalars would exceed the tower depth budget of %d"
                 % MAX_TOWER_DEPTH
             )
-        result = result + (_Level(r_hat, depth),)
+        result = result + (_Level(r_hat),)
         maps = [m if m.__class__ is int else _lift(m, depth, depth + 1) for m in maps]
         maps.append(depth)
     return result, maps
@@ -601,12 +564,9 @@ class Scalar(Value):
         eb = _transplant(other._elt, len(tb), maps, tower)
         return tower, ea, eb
 
-    # A rational (depth-0) operand never joins a tower: it touches only the
-    # innermost rational slot of a sum and scales every slot of a product.
-    # Either way the top slot stays nonzero, so the result is normalised.
-
-    def _plus_rational(self, fr):
-        return _normalised(self._tower, _add_rational(self._elt, fr, len(self._tower)))
+    # A rational (depth-0) factor never joins a tower: it scales every slot
+    # of a product.  A nonzero factor keeps the top slot nonzero, so the
+    # result is normalised.
 
     def _times_rational(self, fr):
         if not fr:
@@ -626,12 +586,8 @@ class Scalar(Value):
             return self
         if self is ZERO:
             return other
-        if not other._tower:
-            if not self._tower:
-                return _normalised((), self._elt + other._elt)
-            return self._plus_rational(other._elt)
-        if not self._tower:
-            return other._plus_rational(self._elt)
+        if not self._tower and not other._tower:
+            return _normalised((), self._elt + other._elt)
         tower, a, b = self._with_common(other)
         return Scalar(tower, _add(a, b, len(tower)))
 
@@ -647,18 +603,7 @@ class Scalar(Value):
             other = _operand(other)
             if other is None:
                 return NotImplemented
-        if other is ZERO:
-            return self
-        if self is ZERO:
-            return -other
-        if not other._tower:
-            if not self._tower:
-                return _normalised((), self._elt - other._elt)
-            return self._plus_rational(-other._elt)
-        if not self._tower:
-            return (-other)._plus_rational(self._elt)
-        tower, a, b = self._with_common(other)
-        return Scalar(tower, _sub(a, b, len(tower)))
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -686,10 +631,6 @@ class Scalar(Value):
     __rmul__ = __mul__
 
     def inverse(self) -> "Scalar":
-        if not self._tower:
-            if not self._elt:
-                raise ZeroDivisionError("division by zero scalar")
-            return _normalised((), 1 / self._elt)
         return Scalar(self._tower, _inv(self._elt, len(self._tower), self._tower))
 
     def __truediv__(self, other):
@@ -811,7 +752,7 @@ def sqrt_extend(s: Scalar) -> Scalar:
             "square root of %s needs tower depth %d, budget is %d"
             % (s, depth + 1, MAX_TOWER_DEPTH)
         )
-    grown = tower + (_Level(s._elt, depth),)
+    grown = tower + (_Level(s._elt),)
     return Scalar(grown, (_zero(depth), _lift(Fraction(1), 0, depth)))
 
 

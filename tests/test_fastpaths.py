@@ -4,13 +4,12 @@ Scalars are drawn at tower depth 0-2 from combinations of sqrt(2), sqrt(3),
 sqrt(-1) and the nested sqrt(1 + sqrt(2)).  Two depth-0 operands must give
 what their Fractions give; a rational operand of +, -, * and / must give the
 same tower and the same element as lifting it and running the generic
-arithmetic under the public, normalising constructor; a level with a
-rational radicand must multiply like one without that shortcut; the one
-evaluation of the congruence action, `SfWitness.apply`, which lifts its
-entries onto one tower, must equal the plain 3x3 product; the witness
-checker must not depend on the canonicalizer's composition of stages at
-all; and an operand that is one of the shared constants 0, 1 and -1 must
-give what an equal, unshared value gives.
+arithmetic under the public, normalising constructor; the one evaluation of
+the congruence action, `SfWitness.apply`, which lifts its entries onto one
+tower, must equal the plain 3x3 product; the witness checker must not
+depend on the canonicalizer's composition of stages at all; and an operand
+that is one of the shared constants 0, 1 and -1 must give what an equal,
+unshared value gives.
 
 Lists of depth 0-3 scalars, products of those roots taken in any order and
 so over differently ordered towers, pin `on_one_tower` to the values it was
@@ -19,7 +18,6 @@ the witness of every such orbit sample and reject a wrong one, and on
 rational entries it must do nothing the plain product does not.
 """
 
-import copy
 import operator
 import random
 from collections import Counter
@@ -186,34 +184,6 @@ def test_cancellation_comes_back_at_depth_0(a):
     if a:
         for one in (a / a, a * a.inverse(), a.inverse() * a):
             assert one.tower_depth == 0 and one.as_fraction() == 1
-
-
-def without_rational_radicands(tower):
-    levels = []
-    for level in tower:
-        level = copy.copy(level)
-        level.rational = None
-        levels.append(level)
-    return tuple(levels)
-
-
-@settings(max_examples=40)
-@given(tower_scalars, tower_scalars)
-def test_rational_radicand_matches_generic(a, b):
-    tower, x, y = a._with_common(b)
-    depth = len(tower)
-    plain = without_rational_radicands(tower)
-    assert all(level.rational is not None for level in tower)
-    assert _mul(x, y, depth, tower) == _mul(x, y, depth, plain)
-    if not b.is_zero():
-        assert _inv(y, depth, tower) == _inv(y, depth, plain)
-
-
-def test_level_records_rational_radicands():
-    merged = ROOTS[0] + ROOTS[1]
-    assert [level.rational for level in merged._tower] == [2, 3]
-    nested = sqrt_extend(1 + ROOTS[0])
-    assert [level.rational for level in nested._tower] == [2, None]
 
 
 # A matrix example draws all its entries over one tower, so that its
