@@ -15,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from pathlib import Path
 
 from .congruence2 import Canon2Label, stab_membership
 from .matrix import Mat2
@@ -120,7 +119,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _read_text(path: str) -> str:
     try:
-        return Path(path).read_text()
+        with open(path) as f:
+            return f.read()
     except OSError as exc:
         raise ValueError(f"cannot read {path!r}: {exc.strerror or exc}") from None
 

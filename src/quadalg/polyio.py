@@ -13,13 +13,14 @@ canonical data with the witness that produced it.  Reading a document back
 checks its shape and raises ValueError naming the entry that is wrong.
 
 Fixture systems are JSON files in the package directory on disk
-(data/systems), read with pathlib.
+(data/systems), listed with os.listdir and read with open.
 """
 
 from __future__ import annotations
 
 import json
-from pathlib import Path
+import os
+from fractions import Fraction
 
 from .algebra import (
     algebra_of_class,
@@ -108,6 +109,11 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
     return out
 
 
+# A term's coefficient before its first factor; that factor replaces it
+# without a product.
+_ONE = Fraction(1)
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
@@ -129,35 +135,40 @@ class _Parser:
         return self.advance()
 
     # scalar grammar: expr := [+-] term {(+|-) term};  term := factor {(*|/) factor}
-    def scalar_expr(self) -> Scalar:
-        sign = 1
+    # A number is a Fraction, and rational text folds as Fractions; a value
+    # becomes a Scalar only at sqrt(...), and the operators then take
+    # Fraction operands as they are.
+    def scalar_expr(self) -> Fraction | Scalar:
+        negative = False
         if self.peek()[0] in ("+", "-"):
-            sign = -1 if self.advance()[0] == "-" else 1
-        total = self.scalar_term() * sign
+            negative = self.advance()[0] == "-"
+        total = self.scalar_term()
+        if negative:
+            total = -total
         while self.peek()[0] in ("+", "-"):
             op = self.advance()[0]
             term = self.scalar_term()
             total = total - term if op == "-" else total + term
         return total
 
-    def scalar_term(self) -> Scalar:
+    def scalar_term(self) -> Fraction | Scalar:
         value = self.scalar_factor()
         while self.peek()[0] in ("*", "/"):
             op = self.advance()[0]
             rhs = self.scalar_factor()
             if op == "/":
-                if rhs.is_zero():
+                if not rhs:
                     raise ZeroDivisionError("division by zero in scalar text")
                 value = value / rhs
             else:
                 value = value * rhs
         return value
 
-    def scalar_factor(self) -> Scalar:
+    def scalar_factor(self) -> Fraction | Scalar:
         kind, value, col = self.peek()
         if kind == "number":
             self.advance()
-            return as_scalar(value)
+            return Fraction(value)
         if kind == "letters" and value == "sqrt":
             self.advance()
             self.expect("(")
@@ -173,7 +184,7 @@ class _Parser:
             raise PolySyntaxError("variables are not allowed here", col)
         raise PolySyntaxError("expected a number, sqrt(...) or (...)", col)
 
-    def nested_expr(self, col: int) -> Scalar:
+    def nested_expr(self, col: int) -> Fraction | Scalar:
         """The scalar expression inside a parenthesis opened at col."""
         if self.depth >= MAX_NESTING:
             raise PolySyntaxError(f"parentheses nest deeper than {MAX_NESTING}", col)
@@ -189,19 +200,31 @@ class _Parser:
         return kind == "letters" and value == "sqrt" and self.tokens[self.pos + 1][0] == "("
 
     # polynomial grammar: poly := [+-] term {(+|-) term}
+    # Terms add into one dict in text order.  A word whose coefficients
+    # cancel leaves the dict and comes back at its end, so the term order is
+    # that of a left-to-right NCPoly sum.
     def poly(self) -> NCPoly:
-        total = NCPoly.zero()
-        sign = 1
-        if self.peek()[0] in ("+", "-"):
-            sign = -1 if self.advance()[0] == "-" else 1
-        total = total + self.poly_term() * sign
-        while self.peek()[0] in ("+", "-"):
-            sign = -1 if self.advance()[0] == "-" else 1
-            total = total + self.poly_term() * sign
-        return total
+        terms = {}
+        sign = self.peek()[0]
+        while True:
+            if sign in ("+", "-"):
+                self.advance()
+            word, coeff = self.poly_term()
+            if sign == "-":
+                coeff = -coeff
+            if word in terms:
+                coeff = terms[word] + coeff
+            if coeff:
+                terms[word] = coeff
+            else:
+                terms.pop(word, None)
+            sign = self.peek()[0]
+            if sign not in ("+", "-"):
+                return NCPoly({w: _scalar(c) for w, c in terms.items()})
 
-    def poly_term(self) -> NCPoly:
-        coeff = Scalar.one()
+    def poly_term(self) -> tuple[str, Fraction | Scalar]:
+        """(word, coefficient) of one term."""
+        coeff = _ONE
         word = ""
         saw_factor = False
         while True:
@@ -222,13 +245,14 @@ class _Parser:
                 if not self.at_scalar_factor():
                     raise PolySyntaxError("can only divide by a scalar", self.peek()[2])
                 rhs = self.scalar_factor()
-                if rhs.is_zero():
+                if not rhs:
                     raise ZeroDivisionError("division by zero in scalar text")
                 coeff = coeff / rhs
                 saw_factor = True
                 continue
             if self.at_scalar_factor():
-                coeff = coeff * self.scalar_factor()
+                factor = self.scalar_factor()
+                coeff = factor if coeff is _ONE else coeff * factor
                 saw_factor = True
                 continue
             if kind == "letters":
@@ -252,7 +276,16 @@ class _Parser:
             raise PolySyntaxError("unexpected token in term", col)
         if not saw_factor:
             raise PolySyntaxError("empty term", self.peek()[2])
-        return NCPoly.term(word, coeff)
+        return word, coeff
+
+
+def _scalar(value: Fraction | Scalar) -> Scalar:
+    """A parsed value as a Scalar; 0, 1 and -1 give the shared constants."""
+    if value.__class__ is Scalar:
+        return value
+    if value.denominator == 1:
+        return as_scalar(value.numerator)
+    return Scalar.from_fraction(value)
 
 
 def parse_scalar(text: str) -> Scalar:
@@ -262,7 +295,7 @@ def parse_scalar(text: str) -> Scalar:
     kind, _, col = p.peek()
     if kind != "end":
         raise PolySyntaxError("trailing input after scalar", col)
-    return value
+    return _scalar(value)
 
 
 def parse_poly(text: str) -> NCPoly:
@@ -462,25 +495,28 @@ def homogenize_report(f: NCPoly) -> dict[str, object]:
 
 # --- rewrite-system fixtures --------------------------------------------------
 
-_SYSTEM_DIR = Path(__file__).resolve().parent / "data" / "systems"
+_SYSTEM_DIR = os.path.join(os.path.dirname(os.path.realpath(__file__)), "data", "systems")
 
 
 def available_systems() -> tuple[str, ...]:
     names = [
-        entry.name[: -len(".json")]
-        for entry in _SYSTEM_DIR.iterdir()
-        if entry.name.endswith(".json")
+        entry[: -len(".json")] for entry in os.listdir(_SYSTEM_DIR) if entry.endswith(".json")
     ]
     return tuple(sorted(names))
+
+
+def _read(path: str) -> str:
+    with open(path) as f:
+        return f.read()
 
 
 def load_system(name: str) -> tuple[RewriteSystem, dict[str, object]]:
     """Fixture by name (see available_systems) or by filesystem path."""
     if name in available_systems():
-        text = (_SYSTEM_DIR / f"{name}.json").read_text()
+        text = _read(os.path.join(_SYSTEM_DIR, f"{name}.json"))
     else:
         try:
-            text = Path(name).read_text()
+            text = _read(name)
         except OSError:
             known = ", ".join(available_systems())
             message = f"unknown system {name!r}; shipped fixtures: {known}"

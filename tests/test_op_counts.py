@@ -34,6 +34,11 @@ product, which skips zero leaves, instead of scaling every slot; a change
 that multiplies zero leaves again, multiplies by an admitted root again or
 scales by a rational radicand again passes that bound.
 
+Parsing the same 54 relations built 579 NCPoly objects while `parse_poly`
+made a polynomial of each term and of each partial sum, and 54 once it
+added the terms into one dict; a change that builds more than one NCPoly
+per relation fails that count.
+
 `sf_canonicalize` reaches its stages from canon2's output and checks the
 composed witness once, with `verify_witness`; so on either corpus it makes
 exactly one `SfWitness.apply` call per canonicalization that returns, and
@@ -58,6 +63,7 @@ from unittest import mock
 
 import quadalg.scalar as scalar
 from quadalg.algebra import sf_from_poly
+from quadalg.ncrewrite import NCPoly
 from quadalg.polyio import parse_poly
 from quadalg.scalar import TowerDepthError
 from quadalg.sfcanon import (
@@ -160,6 +166,18 @@ def test_tower_merges_and_root_enclosures_are_bounded():
     assert 0 < sum(fraction_ops.values()) <= TOWER_FRACTION_BOUND, fraction_ops
 
 
+def parse_counts():
+    """NCPoly constructions of parsing the tower corpus."""
+    with counting(NCPoly, ("__init__",)) as counts:
+        for text in tower_relations():
+            parse_poly(text)
+    return counts["__init__"]
+
+
+def test_parsing_builds_one_polynomial_per_relation():
+    assert parse_counts() == len(tower_relations()) == 54
+
+
 def test_canonicalization_applies_the_witness_once():
     matrices = [m for _, m in corpus()]
     matrices += [sf_from_poly(parse_poly(text)) for text in tower_relations()]
@@ -199,3 +217,4 @@ if __name__ == "__main__":
     print("tower corpus Fraction operations:", sum(fraction_ops.values()))
     for name in TOWER_BOUNDS:
         print(f"tower corpus {name} calls:", counts[name])
+    print("tower corpus NCPoly constructions when parsing:", parse_counts())

@@ -28,7 +28,7 @@ from quadalg.polyio import (
     witness_document,
     witness_from_document,
 )
-from quadalg.scalar import Scalar, as_scalar, sqrt_extend
+from quadalg.scalar import MINUS_ONE, Scalar, as_scalar, sqrt_extend
 from quadalg.sfcanon import SfWitness, sf_canonicalize, verify_witness
 from quadalg.algebra import ENVV_BRIDGE, sf_from_poly
 
@@ -88,6 +88,20 @@ class TestParsePoly:
         p = parse_poly("xz - zx")
         assert p.coeff("xz") == sc(1)
         assert p.coeff("zx") == sc(-1)
+
+    @pytest.mark.parametrize("text, word, constant", [
+        ("x", "x", Scalar.one()),
+        ("-x", "x", MINUS_ONE),
+        ("1*x", "x", Scalar.one()),
+        ("(-1)*x", "x", MINUS_ONE),
+        ("0*x + y", "y", Scalar.one()),
+    ])
+    def test_unit_coefficients_are_the_shared_constants(self, text, word, constant):
+        # the operators skip work for these objects by identity; a
+        # coefficient that is merely equal to 1 or -1 would lose that
+        p = parse_poly(text)
+        assert list(p.words()) == [word]
+        assert p.coeff(word) is constant
 
 
 class TestParseErrors:
@@ -269,6 +283,67 @@ class TestRoundTrip:
     def test_sqrt_coefficients_round_trip(self, a, b):
         p = NCPoly.term("xy", sqrt_extend(sc(a))) + NCPoly.term("y", sc(b))
         assert parse_poly(format_poly(p)) == p
+
+
+# Term texts over a few words, so that words repeat, with coefficients that
+# are rational, 0 or +-1, or over a tower (nested radicals included).
+COEFFICIENT_TEXTS = ("", "1", "(-1)", "0", "2", "3/4", "(-5/6)", "sqrt(2)", "2*sqrt(2)/3",
+                     "(1 + sqrt(3))", "sqrt(-1)", "sqrt(1 + sqrt(2))")
+term_texts = st.builds(
+    lambda coeff, word: f"{coeff}*{word}" if coeff and word else coeff or word or "1",
+    st.sampled_from(COEFFICIENT_TEXTS),
+    st.sampled_from(("", "x", "y", "xy", "yx", "x^2")),
+)
+
+
+@st.composite
+def signed_terms(draw):
+    """(sign, term text) pairs; some terms meet their negation elsewhere."""
+    terms = draw(st.lists(st.tuples(st.sampled_from("+-"), term_texts), min_size=1, max_size=6))
+    for sign, text in list(terms):
+        if draw(st.booleans()):
+            position = draw(st.integers(min_value=0, max_value=len(terms)))
+            terms.insert(position, ("-" if sign == "+" else "+", text))
+    return terms
+
+
+@st.composite
+def rational_texts(draw, depth=0):
+    """(text, value) of a scalar expression in rational text only."""
+    if depth == 3 or draw(st.booleans()):
+        n = draw(st.integers(min_value=-9, max_value=9))
+        return (f"({n})" if n < 0 else str(n)), Fraction(n)
+    a, x = draw(rational_texts(depth + 1))
+    b, y = draw(rational_texts(depth + 1))
+    op = draw(st.sampled_from("+-*/" if y else "+-*"))
+    value = {"+": x + y, "-": x - y, "*": x * y, "/": x / y if y else None}[op]
+    return f"({a} {op} {b})", value
+
+
+class TestOnePassParse:
+    @given(signed_terms())
+    @settings(max_examples=80)
+    def test_relation_is_the_sum_of_its_terms(self, terms):
+        # the reference is a left-to-right NCPoly sum of the terms parsed one
+        # by one: the same coefficient sums in the same order, and a word
+        # whose coefficients cancel leaves the dict until a later term
+        expected = NCPoly.zero()
+        for sign, text in terms:
+            expected = expected + parse_poly(f"{sign} {text}")
+        p = parse_poly(" ".join(f"{sign} {text}" for sign, text in terms))
+        assert p == expected
+        assert list(p.words()) == list(expected.words())
+        assert format_poly(p) == format_poly(expected)
+
+    @given(rational_texts())
+    @settings(max_examples=60)
+    def test_rational_text_parses_to_a_scalar(self, case):
+        text, value = case
+        s = parse_scalar(text)
+        assert s.__class__ is Scalar
+        assert s == sc(value)
+        if value in (-1, 0, 1):
+            assert s is sc(int(value))
 
 
 class TestDocuments:

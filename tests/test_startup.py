@@ -12,9 +12,10 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 # dataclasses pulls in inspect (and ast, dis, tokenize); importlib.resources
 # pulls in zipfile and tempfile (and shutil, bz2, lzma); random is needed only
-# by annotations (on 3.11 the interpreter has loaded it before the probe)
+# by annotations, and os.path and open read the fixtures without pathlib (on
+# 3.11 the interpreter has loaded both random and pathlib before the probe)
 HEAVY = ("dataclasses", "typing", "importlib.resources", "inspect", "zipfile", "tempfile",
-         "random")
+         "random", "pathlib")
 
 PROBE = """
 import json, sys
@@ -36,9 +37,10 @@ def test_import_loads_no_heavy_stdlib_module():
 def test_fixtures_are_read_from_the_package_directory():
     import quadalg.polyio as polyio
 
-    assert polyio._SYSTEM_DIR == SRC / "quadalg" / "data" / "systems"
+    system_dir = Path(polyio._SYSTEM_DIR)
+    assert system_dir == SRC / "quadalg" / "data" / "systems"
     assert polyio.available_systems() == tuple(
-        sorted(p.stem for p in polyio._SYSTEM_DIR.glob("*.json"))
+        sorted(p.stem for p in system_dir.glob("*.json"))
     )
 
 
