@@ -12,7 +12,6 @@ from .scalar import (
     Scalar,
     ScalarError,
     TowerDepthError,
-    approx,
     as_scalar,
     enclosure_decimal,
     format_scalar,

@@ -33,7 +33,7 @@ from .polyio import (
     witness_from_document,
 )
 from .algebra import ENVV_BRIDGE, qas_iso, sf_from_poly
-from .scalar import MAX_APPROX_DIGITS, ScalarError, approx, enclosure_decimal
+from .scalar import MAX_APPROX_DIGITS, ScalarError, enclosure_decimal
 from .sfcanon import verify_witness
 
 
@@ -125,8 +125,8 @@ def _read_text(path: str) -> str:
         raise ValueError(f"cannot read {path!r}: {exc.strerror or exc}") from None
 
 
-def _poly_text(args, attr: str = "poly") -> str:
-    inline = getattr(args, attr, None)
+def _poly_text(args) -> str:
+    inline = getattr(args, "poly", None)
     path = getattr(args, "file", None)
     if inline is not None and path is not None:
         raise ValueError("give the polynomial inline or with --file, not both")
@@ -160,7 +160,7 @@ def _report_lines(doc: dict[str, object], digits: int) -> list[str]:
         if key in ("q", "alpha") and digits > 0:
             x = parse_scalar(value)
             if x.tower_depth:
-                out.append(f"{key} approx: {enclosure_decimal(approx(x, digits), digits)}")
+                out.append(f"{key} approx: {enclosure_decimal(x.approx(digits), digits)}")
     return out
 
 

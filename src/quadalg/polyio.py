@@ -7,10 +7,14 @@ letter takes an optional '^' positive power.  Printing is the inverse of
 parsing with a deterministic term order: degree-descending, then
 word-lexicographic.
 
-Documents are plain dicts ready for JSON: matrices carry exact scalar text
-entry by entry, witnesses carry (P1, P2, alpha), and reports bundle the
-canonical data with the witness that produced it.  Reading a document back
-checks its shape and raises ValueError naming the entry that is wrong.
+Documents are plain dicts ready for JSON, with exact scalar text entry by
+entry.  A matrix and a witness have one shape, a 2x2 block, a pair and a
+scalar, and one codec (`_document`, `_from_document`) writes and reads both,
+under the names (homogeneous, linear, constant) for a matrix and (P1, P2,
+alpha) for a witness.  Reading checks the block, then the pair, then the
+scalar, each for existence, shape and scalar-text entries in that order, and
+raises ValueError naming the entry that is wrong.  Reports bundle the
+canonical data with the witness that produced it.
 
 Fixture systems are JSON files in the package directory on disk
 (data/systems), listed with os.listdir and read with open.
@@ -357,18 +361,6 @@ def format_poly(p: NCPoly) -> str:
 # --- documents ---------------------------------------------------------------
 
 
-def matrix_document(m: StdFormMatrix) -> dict[str, object]:
-    h = m.hom
-    return {
-        "homogeneous": [
-            [scalar_text(h.a), scalar_text(h.b)],
-            [scalar_text(h.c), scalar_text(h.d)],
-        ],
-        "linear": [scalar_text(m.lin[0]), scalar_text(m.lin[1])],
-        "constant": scalar_text(m.const),
-    }
-
-
 def _json_int(text: str) -> int:
     if len(text.lstrip("-")) > MAX_INT_DIGITS:
         raise ValueError(f"a JSON integer has more than {MAX_INT_DIGITS} digits")
@@ -393,58 +385,53 @@ def _entry(doc, key: str):
     return doc[key]
 
 
-def _scalars(items, key: str) -> list[Scalar]:
+_MATRIX_KEYS = ("homogeneous", "linear", "constant")
+_WITNESS_KEYS = ("P1", "P2", "alpha")
+
+
+def _document(keys, block: Mat2, pair, scalar) -> dict[str, object]:
+    a, b, c, d, e, f, s = map(scalar_text, (block.a, block.b, block.c, block.d, *pair, scalar))
+    return dict(zip(keys, ([[a, b], [c, d]], [e, f], s)))
+
+
+def _scalars(items, key: str) -> tuple[Scalar, ...]:
     if not all(isinstance(x, str) for x in items):
         raise ValueError(f"{key} entries must be scalar text")
-    return [parse_scalar(x) for x in items]
+    return tuple(map(parse_scalar, items))
 
 
-def _block_entry(doc, key: str) -> Mat2:
-    rows = _entry(doc, key)
+def _from_document(doc, keys) -> tuple[Mat2, tuple[Scalar, Scalar], Scalar]:
+    """The block, pair and scalar of a document, read in that order; each is
+    checked for existence, then shape, then scalar-text entries."""
+    block_key, pair_key, scalar_key = keys
+    rows = _entry(doc, block_key)
     if not (
         isinstance(rows, list)
         and len(rows) == 2
         and all(isinstance(r, list) and len(r) == 2 for r in rows)
     ):
-        raise ValueError(f"{key} must be 2x2")
-    return Mat2(*_scalars(rows[0] + rows[1], key))
+        raise ValueError(f"{block_key} must be 2x2")
+    block = Mat2(*_scalars(rows[0] + rows[1], block_key))
+    pair = _entry(doc, pair_key)
+    if not (isinstance(pair, list) and len(pair) == 2):
+        raise ValueError(f"{pair_key} must have 2 entries")
+    return block, _scalars(pair, pair_key), _scalars([_entry(doc, scalar_key)], scalar_key)[0]
 
 
-def _column_entry(doc, key: str) -> tuple[Scalar, Scalar]:
-    column = _entry(doc, key)
-    if not (isinstance(column, list) and len(column) == 2):
-        raise ValueError(f"{key} must have 2 entries")
-    return tuple(_scalars(column, key))
-
-
-def _scalar_entry(doc, key: str) -> Scalar:
-    return _scalars([_entry(doc, key)], key)[0]
+def matrix_document(m: StdFormMatrix) -> dict[str, object]:
+    return _document(_MATRIX_KEYS, m.hom, m.lin, m.const)
 
 
 def matrix_from_document(doc: dict[str, object]) -> StdFormMatrix:
-    return StdFormMatrix(
-        _block_entry(doc, "homogeneous"),
-        _column_entry(doc, "linear"),
-        _scalar_entry(doc, "constant"),
-    )
+    return StdFormMatrix(*_from_document(doc, _MATRIX_KEYS))
 
 
 def witness_document(w: SfWitness) -> dict[str, object]:
-    p1 = w.linear
-    return {
-        "P1": [
-            [scalar_text(p1.a), scalar_text(p1.b)],
-            [scalar_text(p1.c), scalar_text(p1.d)],
-        ],
-        "P2": [scalar_text(w.translation[0]), scalar_text(w.translation[1])],
-        "alpha": scalar_text(w.scale),
-    }
+    return _document(_WITNESS_KEYS, w.linear, w.translation, w.scale)
 
 
 def witness_from_document(doc: dict[str, object]) -> SfWitness:
-    return SfWitness(
-        _block_entry(doc, "P1"), _column_entry(doc, "P2"), _scalar_entry(doc, "alpha")
-    )
+    return SfWitness(*_from_document(doc, _WITNESS_KEYS))
 
 
 def canonicalization_report(m: StdFormMatrix) -> dict[str, object]:
@@ -512,15 +499,15 @@ def _read(path: str) -> str:
 
 def load_system(name: str) -> tuple[RewriteSystem, dict[str, object]]:
     """Fixture by name (see available_systems) or by filesystem path."""
-    if name in available_systems():
+    shipped = available_systems()
+    if name in shipped:
         text = _read(os.path.join(_SYSTEM_DIR, f"{name}.json"))
     else:
         try:
             text = _read(name)
         except OSError:
-            known = ", ".join(available_systems())
-            message = f"unknown system {name!r}; shipped fixtures: {known}"
-            raise ValueError(message) from None
+            known = ", ".join(shipped)
+            raise ValueError(f"unknown system {name!r}; shipped fixtures: {known}") from None
     doc = parse_json(text, "system")
     texts, precedence = _entry(doc, "relations"), _entry(doc, "precedence")
     if not (isinstance(texts, list) and all(isinstance(t, str) for t in texts)):

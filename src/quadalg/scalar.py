@@ -11,7 +11,10 @@ with positive real part, or with zero real part and positive imaginary part.
 Decimal enclosures tell which root that is (`_half_plane`), on the fixed
 ladder of 30, 60, ... digits, and a real part too small to tell from zero
 there counts as zero.  Enclosures otherwise serve only printing and
-cross-checks; no other arithmetic decision depends on them.  A tower holds
+cross-checks; no other arithmetic decision depends on them.  Every
+refinement loop, for a root ball, a sign or an approximation, takes its
+working precisions from one generator, `_ladder(start)`: start, then
+doubling, up to the cap MAX_ENCLOSURE_DIGITS.  A tower holds
 only its radicands, so it is an immutable value: two towers with equal
 radicands denote the same roots.  A level keeps the balls around its root
 that have been computed, by precision: the level sits at one index over one
@@ -61,7 +64,7 @@ from ._value import Value
 MAX_TOWER_DEPTH = 4
 
 # Precision cap, in decimal digits, for the refinement loops of the decimal
-# enclosures.  Every loop doubles its working precision until a test is
+# enclosures.  `_ladder` doubles a loop's working precision until its test is
 # decisive; exact nonzero data always decides well below this cap, so
 # passing it raises ScalarError instead of spinning.
 MAX_ENCLOSURE_DIGITS = 1 << 16
@@ -235,14 +238,18 @@ class _Level:
         self.balls = {}
 
 
-def _more_digits(d):
-    """Double a working precision, refusing to pass MAX_ENCLOSURE_DIGITS."""
-    d *= 2
-    if d > MAX_ENCLOSURE_DIGITS:
-        raise ScalarError(
-            "deciding an enclosure needs more than %d digits" % MAX_ENCLOSURE_DIGITS
-        )
-    return d
+def _ladder(start):
+    """The working precisions start, 2*start, 4*start, ...: a refinement
+    loop tries each in turn until its test is decisive.  The start is tried
+    whatever its size; doubling past MAX_ENCLOSURE_DIGITS raises."""
+    yield start
+    d = 2 * start
+    while d <= MAX_ENCLOSURE_DIGITS:
+        yield d
+        d *= 2
+    raise ScalarError(
+        "deciding an enclosure needs more than %d digits" % MAX_ENCLOSURE_DIGITS
+    )
 
 
 def _eval_ball(e, depth, tower, digits):
@@ -262,8 +269,7 @@ def _elt_ball(e, depth, roots):
 
 def _root_candidate(tower, idx, digits):
     """Enclosure data (u, delta) with the true root within delta of +-u."""
-    d = digits
-    while True:
+    for d in _ladder(digits):
         bs = _eval_ball(tower[idx].radicand, idx, tower, d)
         lb_s = max(abs(bs.re), abs(bs.im)) - bs.rad
         if lb_s > 0:
@@ -274,9 +280,7 @@ def _root_candidate(tower, idx, digits):
             lt = _sqrt_frac(lb_s, d + 10)
             den = max(max(abs(ure), abs(uim)), lt)
             if den > 0:
-                delta = (bs.rad + eps) / den
-                return ure, uim, delta
-        d = _more_digits(d)
+                return ure, uim, (bs.rad + eps) / den
 
 
 def _half_plane(re, im, rad) -> int:
@@ -311,17 +315,14 @@ def _principal_root_ball(tower, idx, digits):
     precision asked for.  A ball at a higher precision is flipped by the part
     that settled it, so every precision encloses the same root.
     """
-    d = 30
-    while True:
+    for d in _ladder(30):
         ure, uim, delta = _root_candidate(tower, idx, d)
         sign = _half_plane(ure, uim, delta)
         if sign:
             break
-        d = _more_digits(d)
     if digits > d:
         by_real_part = abs(ure) > delta
-        d = digits
-        while True:
+        for d in _ladder(digits):
             ure, uim, delta = _root_candidate(tower, idx, d)
             if by_real_part:
                 sign = _half_plane(ure, 0, delta)
@@ -329,19 +330,16 @@ def _principal_root_ball(tower, idx, digits):
                 sign = _half_plane(0, uim, delta)
             if sign:
                 break
-            d = _more_digits(d)
     return _Ball(sign * ure, sign * uim, delta)
 
 
 def _canonical_sign(tower, elt) -> int:
     """+1 when the nonzero element elt is in the principal half-plane, else -1."""
-    d = 30
-    while True:
+    for d in _ladder(30):
         ball = _eval_ball(elt, len(tower), tower, d)
         sign = _half_plane(ball.re, ball.im, ball.rad)
         if sign:
             return sign
-        d = _more_digits(d)
 
 
 # ---------------------------------------------------------------------------
@@ -658,8 +656,7 @@ class Scalar(Value):
         if digits > MAX_APPROX_DIGITS:
             raise ValueError("approx supports at most %d digits" % MAX_APPROX_DIGITS)
         bound = Fraction(1, 10 ** digits)
-        d = digits + 5
-        while True:
+        for d in _ladder(digits + 5):
             ball = _eval_ball(self._elt, len(self._tower), self._tower, d)
             if 2 * ball.rad < bound:
                 return Enclosure(
@@ -668,7 +665,6 @@ class Scalar(Value):
                     ball.im - ball.rad,
                     ball.im + ball.rad,
                 )
-            d = _more_digits(d)
 
     # -- printing
 
@@ -723,10 +719,6 @@ def as_scalar(x) -> Scalar:
     if s is None:
         raise TypeError(f"cannot interpret {x!r} as a scalar")
     return s
-
-
-def approx(s: Scalar, digits: int = 30) -> Enclosure:
-    return as_scalar(s).approx(digits)
 
 
 def sqrt_extend(s: Scalar) -> Scalar:

@@ -1,7 +1,9 @@
 """Text grammar, document round trips, report assembly, shipped fixtures."""
 
+import os
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -362,19 +364,37 @@ class TestDocuments:
         )
         assert witness_from_document(witness_document(w)) == w
 
-    @pytest.mark.parametrize("edit, message", [
-        (lambda d: d.update(P1=d["P1"][:1]), "P1 must be 2x2"),
-        (lambda d: d.update(P1=[["1", "0"], ["0"]]), "P1 must be 2x2"),
-        (lambda d: d.update(P1=[["1", 0], ["0", "1"]]), "P1 entries must be scalar text"),
-        (lambda d: d.update(P2=["0"]), "P2 must have 2 entries"),
-        (lambda d: d.pop("alpha"), "no 'alpha' entry"),
-        (lambda d: d.update(alpha=None), "alpha entries must be scalar text"),
+    # One table of malformed documents for both key triples, (block, pair,
+    # scalar): (P1, P2, alpha) for a witness, (homogeneous, linear, constant)
+    # for a matrix.
+    shape_errors = pytest.mark.parametrize("edit, message", [
+        (lambda d, b, p, s: d.update({b: d[b][:1]}), "{b} must be 2x2"),
+        (lambda d, b, p, s: d.update({b: [["1", "0"], ["0"]]}), "{b} must be 2x2"),
+        (lambda d, b, p, s: d.update({b: [["1", 0], ["0", "1"]]}),
+         "{b} entries must be scalar text"),
+        (lambda d, b, p, s: d.update({p: ["0"]}), "{p} must have 2 entries"),
+        (lambda d, b, p, s: d.pop(s), "no '{s}' entry"),
+        (lambda d, b, p, s: d.update({s: None}), "{s} entries must be scalar text"),
     ], ids=["one-row", "short-row", "number", "short-column", "missing", "null"])
+
+    @staticmethod
+    def check_shape_error(doc, read, keys, edit, message):
+        b, p, s = keys
+        edit(doc, b, p, s)
+        with pytest.raises(ValueError, match=message.format(b=b, p=p, s=s)):
+            read(doc)
+
+    @shape_errors
     def test_witness_document_shape_errors_name_the_entry(self, edit, message):
         doc = witness_document(SfWitness.identity())
-        edit(doc)
-        with pytest.raises(ValueError, match=message):
-            witness_from_document(doc)
+        keys = ("P1", "P2", "alpha")
+        self.check_shape_error(doc, witness_from_document, keys, edit, message)
+
+    @shape_errors
+    def test_matrix_document_shape_errors_name_the_entry(self, edit, message):
+        doc = matrix_document(matrix_from_coeffs([1, 2, -3, Fraction(1, 2), 0, 5, -1]))
+        keys = ("homogeneous", "linear", "constant")
+        self.check_shape_error(doc, matrix_from_document, keys, edit, message)
 
     def test_matrix_document_must_be_an_object(self):
         with pytest.raises(ValueError, match="no 'homogeneous' entry"):
@@ -488,6 +508,15 @@ class TestReports:
 class TestSystems:
     def test_available_systems(self):
         assert available_systems() == ("h_kx", "h_os", "h_sxx", "u", "v")
+
+    def test_unknown_system_names_the_shipped_fixtures(self):
+        listdir = mock.Mock(wraps=os.listdir)
+        with mock.patch("quadalg.polyio.os.listdir", listdir):
+            with pytest.raises(ValueError) as exc:
+                load_system("nope")
+        message = "unknown system 'nope'; shipped fixtures: h_kx, h_os, h_sxx, u, v"
+        assert str(exc.value) == message
+        assert listdir.call_count == 1
 
     @pytest.mark.parametrize("name", ["h_kx", "h_os", "h_sxx", "u", "v"])
     def test_fixtures_load_and_are_confluent_at_smoke_depth(self, name):

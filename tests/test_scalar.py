@@ -14,7 +14,6 @@ from quadalg.scalar import (
     Scalar,
     ScalarError,
     TowerDepthError,
-    approx,
     as_scalar,
     format_scalar,
     on_one_tower,
@@ -361,6 +360,26 @@ class TestEnclosures:
         monkeypatch.setattr(scalar_module, "MAX_ENCLOSURE_DIGITS", 32)
         with pytest.raises(ScalarError, match="more than 32 digits"):
             sqrt_extend(square)
+
+    def test_ladder_doubles_from_its_start(self):
+        ladder = scalar_module._ladder(30)
+        assert [next(ladder) for _ in range(3)] == [30, 60, 120]
+
+    def test_ladder_refuses_to_double_past_the_cap(self, monkeypatch):
+        monkeypatch.setattr(scalar_module, "MAX_ENCLOSURE_DIGITS", 100)
+        ladder = scalar_module._ladder(30)
+        assert [next(ladder), next(ladder)] == [30, 60]
+        message = "deciding an enclosure needs more than 100 digits"
+        with pytest.raises(ScalarError, match=message):
+            next(ladder)
+
+    def test_ladder_tries_a_start_above_the_cap(self, monkeypatch):
+        # as a refinement loop tries its first precision before any doubling
+        monkeypatch.setattr(scalar_module, "MAX_ENCLOSURE_DIGITS", 100)
+        ladder = scalar_module._ladder(105)
+        assert next(ladder) == 105
+        with pytest.raises(ScalarError, match="more than 100 digits"):
+            next(ladder)
 
     def test_zero_never_escapes_enclosure(self):
         r2 = sqrt_extend(frac(2))
