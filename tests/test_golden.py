@@ -4,10 +4,14 @@
 code, stdout and stderr.  It covers classify, canon, homogenize and
 classify-h in both formats on every relation of `scripts/classify_table.py`
 plus one sqrt(2) relation, congruent on a congruent, a non-isomorphic and
-the UFORM/VFORM bridge pair, and stab with good and bad labels.
-`tests/data/classify_table.txt` is the name table that script prints.
-Both were saved from the code before labels were unified; a refactor that
-changes any byte of them changes an output, not just the code.
+the UFORM/VFORM bridge pair, and stab with good and bad labels.  It also
+covers reduce on one short word per shipped fixture in both formats, a
+degree-bound refusal and an unknown system, and qas-iso on an isomorphic
+pair (both formats), a non-isomorphic pair, a size mismatch and a malformed
+entry.  `tests/data/classify_table.txt` is the name table that script prints.
+Both were saved from the code before labels were unified, and the reduce
+and qas-iso cases before the rewrite rules became a plain dict; a refactor
+that changes any byte of them changes an output, not just the code.
 """
 
 import json
