@@ -3,7 +3,7 @@
 
 For each input relation the script reports the algebra it presents, the
 class of its homogenization, and the canonical form of the relation, all
-computed exactly.
+computed exactly from one canonicalization of the relation.
 """
 
 import sys
@@ -14,7 +14,7 @@ try:
 except ImportError:
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from quadalg.algebra import classify, classify_h, homogenize, poly_from_sf, sf_from_poly
+from quadalg.algebra import algebra_of_class, h_class_of, poly_from_sf, sf_from_poly
 from quadalg.polyio import format_poly, parse_poly
 from quadalg.sfcanon import sf_canonicalize
 
@@ -40,12 +40,10 @@ RELATIONS = [
 def main() -> int:
     rows = []
     for text in RELATIONS:
-        f = parse_poly(text)
-        a = classify(f)
-        h = classify_h(homogenize(f))
-        _, canonical, _ = sf_canonicalize(sf_from_poly(f))
+        cls, canonical, _ = sf_canonicalize(sf_from_poly(parse_poly(text)))
+        a = algebra_of_class(cls)
         algebra = str(a) + (" [via v]" if a.via_v else "")
-        rows.append((text, algebra, str(h), format_poly(poly_from_sf(canonical))))
+        rows.append((text, algebra, str(h_class_of(cls)), format_poly(poly_from_sf(canonical))))
 
     widths = [max(len(r[i]) for r in rows) for i in range(4)]
     header = ("relation", "algebra", "homogenization", "canonical relation")

@@ -53,7 +53,6 @@ from .ncrewrite import (
     NCPoly,
     NotOrientableError,
     RewriteSystem,
-    Rule,
     leading_word,
     locally_confluent,
     orient,
@@ -68,7 +67,6 @@ from .algebra import (
     H_CLASS_NAMES,
     AlgebraClass,
     HClass,
-    HTriple,
     algebra_of_class,
     classify,
     classify_h,

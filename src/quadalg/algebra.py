@@ -10,9 +10,11 @@ correctness is checked here by rewriting rather than assumed.
 Adjoining a central generator z with relations xz - zx and yz - zy turns f
 into a homogeneous relation (linear terms pick up a z, the constant becomes
 z^2).  At the matrix level this is the identity: the standard-form matrix of
-f already is the defining matrix of the homogenized algebra.  For these
-three-generator algebras the eleven canonical classes stay pairwise distinct;
-in particular UFORM and VFORM no longer merge.
+f already is the defining matrix of the homogenized algebra, so `classify_h`
+takes f itself, as `classify` does.  For these three-generator algebras the
+eleven canonical classes stay pairwise distinct; in particular UFORM and
+VFORM no longer merge.  Both names of a class are columns of `sfcanon`'s
+class table.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import itertools
 from collections.abc import Sequence
 from functools import lru_cache
 
-from ._value import Value
 from .congruence2 import Label, reciprocal_equivalent
 from .matrix import (
     DegreeError,
@@ -37,6 +38,7 @@ from .ncrewrite import (
 )
 from .scalar import Scalar, as_scalar
 from .sfcanon import (
+    _CLASSES,
     CanonicalClass,
     SfWitness,
     canonical_matrix,
@@ -50,8 +52,8 @@ from .sfcanon import (
 _AFFINE_WORDS = ("xx", "xy", "yx", "yy", "x", "y", "")
 
 
-def sf_from_poly(f: NCPoly) -> StdFormMatrix:
-    """Standard-form coefficient matrix of a degree-two polynomial in x, y."""
+def _checked(f: NCPoly) -> NCPoly:
+    """f, once it is known to be a degree-two polynomial in x and y."""
     if not isinstance(f, NCPoly):
         raise TypeError("expected an NCPoly")
     if f.degree() != 2:
@@ -59,6 +61,12 @@ def sf_from_poly(f: NCPoly) -> StdFormMatrix:
     for w in f.words():
         if "z" in w:
             raise ValueError("a two-generator relation may only use x and y")
+    return f
+
+
+def sf_from_poly(f: NCPoly) -> StdFormMatrix:
+    """Standard-form coefficient matrix of a degree-two polynomial in x, y."""
+    f = _checked(f)
     return matrix_from_coeffs(tuple(f.coeff(w) for w in _AFFINE_WORDS))
 
 
@@ -67,31 +75,10 @@ def poly_from_sf(m: StdFormMatrix) -> NCPoly:
     return NCPoly(dict(zip(_AFFINE_WORDS, coeffs_from_matrix(m))))
 
 
-def homogeneous_poly_from_sf(m: StdFormMatrix) -> NCPoly:
-    """Polynomial in x, y, z with the affine slots read as xz, yz and z^2."""
-    a, b, c, d, u, v, n = coeffs_from_matrix(m)
-    return NCPoly({"xx": a, "xy": b, "yx": c, "yy": d, "xz": u, "yz": v, "zz": n})
-
-
 # --- algebra names ---------------------------------------------------------
 
-# canonical class tag -> (algebra name, homogenized-algebra name)
-_NAMES: dict[str, tuple[str, str]] = {
-    "QPLANE": ("OQ", "H_OQ"),
-    "QWEYL": ("WEYL_Q", "H_WEYL"),
-    "JORDAN": ("JORDAN", "H_JORDAN"),
-    "JORDAN1": ("JORDAN1", "H_SJORDAN"),
-    "UFORM": ("U", "H_ENV"),
-    "VFORM": ("U", "H_ENVV"),
-    "X2": ("RX2", "H_X2"),
-    "X2_MINUS1": ("RX2M1", "H_SX2"),
-    "YX": ("RYX", "H_YX"),
-    "S": ("S", "H_OS"),
-    "KX": ("KX", "H_KX"),
-}
-
-ALGEBRA_NAMES = tuple(dict.fromkeys(a for a, _ in _NAMES.values()))
-H_CLASS_NAMES = tuple(h for _, h in _NAMES.values())
+ALGEBRA_NAMES = tuple(dict.fromkeys(row[3] for row in _CLASSES.values()))
+H_CLASS_NAMES = tuple(row[4] for row in _CLASSES.values())
 
 
 class AlgebraClass(Label):
@@ -102,7 +89,7 @@ class AlgebraClass(Label):
     """
 
     TAGS = ALGEBRA_NAMES
-    PARAMETRIC = tuple(_NAMES[t][0] for t in CanonicalClass.PARAMETRIC)
+    PARAMETRIC = tuple(_CLASSES[t][3] for t in CanonicalClass.PARAMETRIC)
 
     __slots__ = ("via_v",)
 
@@ -114,7 +101,7 @@ class AlgebraClass(Label):
 
 
 def algebra_of_class(cls: CanonicalClass) -> AlgebraClass:
-    return AlgebraClass(_NAMES[cls.tag][0], cls.q, via_v=(cls.tag == "VFORM"))
+    return AlgebraClass(_CLASSES[cls.tag][3], cls.q, via_v=(cls.tag == "VFORM"))
 
 
 def classify(f: NCPoly) -> AlgebraClass:
@@ -187,26 +174,11 @@ def iso_check(f: NCPoly, g: NCPoly) -> tuple[bool, Evidence]:
 # --- homogenization --------------------------------------------------------
 
 
-class HTriple(Value):
-    """Three-generator presentation: the relation, read with z in the affine
-    slots (so it is homogeneous by construction), beside the two fixed
-    relations xz - zx and yz - zy that make z central.
-    """
-
-    __slots__ = ("relation",)
-
-    def __init__(self, relation: StdFormMatrix):
-        if relation.hom.is_zero():
-            raise ValueError("the quadratic block of the relation must be nonzero")
-        object.__setattr__(self, "relation", relation)
-
-    def relation_poly(self) -> NCPoly:
-        return homogeneous_poly_from_sf(self.relation)
-
-
-def homogenize(f: NCPoly) -> HTriple:
-    """Homogenize a degree-two relation by the central generator z."""
-    return HTriple(relation=sf_from_poly(f))
+def homogenize(f: NCPoly) -> NCPoly:
+    """The degree-two relation f homogenized by the central generator z: its
+    linear terms pick up a z on the right and its constant becomes z^2.  The
+    relations xz - zx and yz - zy that make z central go without saying."""
+    return NCPoly({w + "z" * (2 - len(w)): c for w, c in _checked(f).terms()})
 
 
 class HClass(Label):
@@ -215,16 +187,17 @@ class HClass(Label):
     __slots__ = ()
 
     TAGS = H_CLASS_NAMES
-    PARAMETRIC = tuple(_NAMES[t][1] for t in CanonicalClass.PARAMETRIC)
+    PARAMETRIC = tuple(_CLASSES[t][4] for t in CanonicalClass.PARAMETRIC)
 
 
 def h_class_of(cls: CanonicalClass) -> HClass:
-    return HClass(_NAMES[cls.tag][1], cls.q)
+    return HClass(_CLASSES[cls.tag][4], cls.q)
 
 
-def classify_h(t: HTriple) -> HClass:
-    """Name the homogenized algebra presented by the triple."""
-    cls, _, _ = sf_canonicalize(t.relation)
+def classify_h(f: NCPoly) -> HClass:
+    """Name the algebra presented by the homogenization of the degree-two
+    relation f."""
+    cls, _, _ = sf_canonicalize(sf_from_poly(f))
     return h_class_of(cls)
 
 

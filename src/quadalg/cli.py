@@ -216,11 +216,12 @@ def _cmd_verify(args) -> int:
         target = sf_from_poly(parse_poly(report["canonical_f"]))
     else:
         raise ValueError("the report carries no canonical form")
-    if verify_witness(target, source, witness):
-        print("witness verifies")
-        return 0
-    print("witness does not verify", file=sys.stderr)
-    return 1
+    verified = verify_witness(target, source, witness)
+    if verified or args.format == "json":
+        _emit({"verified": verified}, args, lambda d: ["witness verifies"])
+    else:
+        print("witness does not verify", file=sys.stderr)
+    return 0 if verified else 1
 
 
 def _parse_label(text: str) -> Canon2Label:

@@ -28,24 +28,16 @@ class DegreeError(ValueError):
     """Raised when an expression lacks the quadratic part these tools need."""
 
 
-def _s(x) -> Scalar:
-    if x.__class__ is Scalar:
-        return x
-    if isinstance(x, float):
-        raise TypeError("floats are not exact; pass int, Fraction, or Scalar")
-    return as_scalar(x)
-
-
 class Mat2(Value):
     """2x2 matrix of exact scalars, row major."""
 
     __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, a, b, c, d):
-        object.__setattr__(self, "a", _s(a))
-        object.__setattr__(self, "b", _s(b))
-        object.__setattr__(self, "c", _s(c))
-        object.__setattr__(self, "d", _s(d))
+        object.__setattr__(self, "a", as_scalar(a))
+        object.__setattr__(self, "b", as_scalar(b))
+        object.__setattr__(self, "c", as_scalar(c))
+        object.__setattr__(self, "d", as_scalar(d))
 
     @classmethod
     def identity(cls) -> "Mat2":
@@ -63,7 +55,7 @@ class Mat2(Value):
                 self.c * other.b + self.d * other.d,
             )
         if isinstance(other, (Scalar, int, Fraction)):
-            s = _s(other)
+            s = as_scalar(other)
             return Mat2(self.a * s, self.b * s, self.c * s, self.d * s)
         return NotImplemented
 
@@ -109,7 +101,7 @@ class Mat3(Value):
     __slots__ = ("rows",)
 
     def __init__(self, rows: Sequence[Sequence]):
-        rows = tuple(tuple(_s(x) for x in r) for r in rows)
+        rows = tuple(tuple(as_scalar(x) for x in r) for r in rows)
         if len(rows) != 3 or any(len(r) != 3 for r in rows):
             raise ValueError("Mat3 needs a 3x3 array of entries")
         object.__setattr__(self, "rows", rows)
@@ -142,15 +134,15 @@ class StdFormMatrix(Value):
 
     def __init__(self, hom: Mat2, lin: Vec2, const: Scalar):
         object.__setattr__(self, "hom", hom)
-        object.__setattr__(self, "lin", (_s(lin[0]), _s(lin[1])))
-        object.__setattr__(self, "const", _s(const))
+        object.__setattr__(self, "lin", (as_scalar(lin[0]), as_scalar(lin[1])))
+        object.__setattr__(self, "const", as_scalar(const))
 
     def embed(self) -> Mat3:
         h, (u, v), n = self.hom, self.lin, self.const
         return Mat3(((h.a, h.b, u), (h.c, h.d, v), (0, 0, n)))
 
     def scale(self, s) -> "StdFormMatrix":
-        s = _s(s)
+        s = as_scalar(s)
         return StdFormMatrix(
             self.hom * s, (self.lin[0] * s, self.lin[1] * s), self.const * s
         )
@@ -173,7 +165,7 @@ def sf_map(m: Mat3) -> StdFormMatrix:
 def matrix_from_coeffs(coeffs: Sequence) -> StdFormMatrix:
     if len(coeffs) != 7:
         raise ValueError("expected 7 coefficients: x^2, xy, yx, y^2, x, y, 1")
-    a, b, c, d, u, v, n = (_s(x) for x in coeffs)
+    a, b, c, d, u, v, n = (as_scalar(x) for x in coeffs)
     return StdFormMatrix(hom=Mat2(a, b, c, d), lin=(u, v), const=n)
 
 

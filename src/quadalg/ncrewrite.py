@@ -1,11 +1,12 @@
 """Bounded rewriting for noncommutative polynomials over {x, y, z}.
 
 Polynomials are finite sums of words in the free algebra on up to three
-letters with exact scalar coefficients.  A rewrite system holds rules whose
-left sides are words of length two, oriented by a degree-lexicographic order
-with a declared letter precedence; construction checks that every right-hand
-monomial is strictly below the left side, so reduction terminates and never
-raises the degree.
+letters with exact scalar coefficients.  A rewrite system holds its rules as
+one dict from left side to right side.  The left sides are distinct words of
+length two, oriented by a degree-lexicographic order with a declared letter
+precedence (`orient` turns a relation into one (lhs, rhs) pair); construction
+checks that every right-hand monomial is strictly below the left side, so
+reduction terminates and never raises the degree.
 
 Reducing a polynomial to zero proves it lies in the two-sided ideal spanned
 by the rules' differences, for any system.  Uniqueness of normal forms needs
@@ -193,41 +194,33 @@ def leading_word(p: NCPoly, precedence: Sequence[str]) -> Word:
 # --- rewrite systems --------------------------------------------------------
 
 
-class Rule(Value):
-    __slots__ = ("lhs", "rhs")
-
-    def __init__(self, lhs: Word, rhs: NCPoly):
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
-
-
 class RewriteSystem(Value):
+    """Rules as one dict from left side to right side, built from (lhs, rhs)
+    pairs or from such a dict; the dict is not to be changed afterwards."""
+
     __slots__ = ("rules", "precedence")
 
-    def __init__(self, rules: Iterable[Rule], precedence: str | Sequence[str]):
-        object.__setattr__(self, "precedence", parse_precedence(precedence))
-        object.__setattr__(self, "rules", tuple(rules))
-        rank = {ch: i for i, ch in enumerate(self.precedence)}
-        seen = set()
-        for rule in self.rules:
-            if len(rule.lhs) != 2:
+    def __init__(self, rules: Iterable[tuple[Word, NCPoly]] | Mapping[Word, NCPoly],
+                 precedence: str | Sequence[str]):
+        precedence = parse_precedence(precedence)
+        rank = {ch: i for i, ch in enumerate(precedence)}
+        table: dict[Word, NCPoly] = {}
+        for lhs, rhs in rules.items() if isinstance(rules, Mapping) else rules:
+            if len(lhs) != 2:
                 raise ValueError("rule left sides must be words of length 2")
-            _check_word(rule.lhs)
-            if rule.lhs in seen:
-                raise ValueError(f"duplicate rule for {rule.lhs!r}")
-            seen.add(rule.lhs)
-            key = _order_key(rule.lhs, rank)
-            for w, _ in rule.rhs.terms():
+            _check_word(lhs)
+            if lhs in table:
+                raise ValueError(f"duplicate rule for {lhs!r}")
+            key = _order_key(lhs, rank)
+            for w, _ in rhs.terms():
                 if _order_key(w, rank) >= key:
-                    raise ValueError(
-                        f"rule {rule.lhs!r} does not dominate its right side"
-                    )
-
-    def lhs_map(self) -> dict[Word, NCPoly]:
-        return {r.lhs: r.rhs for r in self.rules}
+                    raise ValueError(f"rule {lhs!r} does not dominate its right side")
+            table[lhs] = rhs
+        object.__setattr__(self, "rules", table)
+        object.__setattr__(self, "precedence", precedence)
 
 
-def orient(f: NCPoly, precedence: str | Sequence[str]) -> Rule:
+def orient(f: NCPoly, precedence: str | Sequence[str]) -> tuple[Word, NCPoly]:
     """Turn a relation into a rule: leading word rewrites to minus the rest."""
     precedence = parse_precedence(precedence)
     lead = leading_word(f, precedence)
@@ -238,16 +231,14 @@ def orient(f: NCPoly, precedence: str | Sequence[str]) -> Rule:
     c = f.coeff(lead)
     rest = f - NCPoly.term(lead, c)
     rhs = rest * (-c.inverse())
-    return Rule(lead, rhs)
+    return lead, rhs
 
 
 def system_from_relations(
     relations: Iterable[NCPoly], precedence: str | Sequence[str]
 ) -> RewriteSystem:
     precedence = parse_precedence(precedence)
-    return RewriteSystem(
-        tuple(orient(f, precedence) for f in relations), precedence
-    )
+    return RewriteSystem((orient(f, precedence) for f in relations), precedence)
 
 
 def reduce(p: NCPoly, sys: RewriteSystem, degree_bound: int) -> NCPoly:
@@ -255,7 +246,7 @@ def reduce(p: NCPoly, sys: RewriteSystem, degree_bound: int) -> NCPoly:
 
     Rules never raise word degree, so the bound only guards the input size.
     """
-    table = sys.lhs_map()
+    table = sys.rules
     out: dict[Word, Scalar] = {}
     stack = list(p.terms())
     while stack:
@@ -307,12 +298,12 @@ def locally_confluent(sys: RewriteSystem) -> bool:
     ambiguities are the overlaps abc with rules on ab and bc.  Rewriting
     never raises degree, so every word met has length at most three.
     """
-    for r1 in sys.rules:
-        for r2 in sys.rules:
-            if r1.lhs[1] != r2.lhs[0]:
+    for lhs1, rhs1 in sys.rules.items():
+        for lhs2, rhs2 in sys.rules.items():
+            if lhs1[1] != lhs2[0]:
                 continue
-            left = reduce(r1.rhs * NCPoly.variable(r2.lhs[1]), sys, 3)
-            right = reduce(NCPoly.variable(r1.lhs[0]) * r2.rhs, sys, 3)
+            left = reduce(rhs1 * NCPoly.variable(lhs2[1]), sys, 3)
+            right = reduce(NCPoly.variable(lhs1[0]) * rhs2, sys, 3)
             if left != right:
                 return False
     return True

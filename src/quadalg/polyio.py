@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .algebra import (
     algebra_of_class,
-    classify_h,
+    h_class_of,
     homogenize,
     iso_check,
     poly_from_sf,
@@ -468,11 +468,11 @@ def congruence_report(f: NCPoly, g: NCPoly) -> dict[str, object]:
 
 
 def homogenize_report(f: NCPoly) -> dict[str, object]:
-    t = homogenize(f)
-    h = classify_h(t)
+    m = sf_from_poly(f)
+    h = h_class_of(sf_canonicalize(m)[0])
     doc: dict[str, object] = {
-        "relation": format_poly(t.relation_poly()),
-        "matrix": matrix_document(t.relation),
+        "relation": format_poly(homogenize(f)),
+        "matrix": matrix_document(m),
         "h_class": h.tag,
     }
     if h.q is not None:

@@ -717,6 +717,8 @@ def as_scalar(x) -> Scalar:
         return x
     s = _operand(x)
     if s is None:
+        if isinstance(x, float):
+            raise TypeError("floats are not exact; pass int, Fraction, or Scalar")
         raise TypeError(f"cannot interpret {x!r} as a scalar")
     return s
 

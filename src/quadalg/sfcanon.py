@@ -33,21 +33,22 @@ from .congruence2 import (
 from .matrix import DegreeError, Mat2, Mat3, StdFormMatrix, Vec2, sf_map
 from .scalar import Scalar, as_scalar, on_one_tower, sqrt_extend
 
-# The eleven classes: tag -> (canonical 2x2 block, linear column, constant),
-# with the relation each one stands for.  The Q block carries the class's q,
-# or 1 for UFORM.
+# The eleven classes: tag -> (canonical 2x2 block, linear column, constant,
+# algebra name, homogenized-algebra name), with the relation each one stands
+# for.  The Q block carries the class's q, or 1 for UFORM.  UFORM and VFORM
+# present the same algebra U; their homogenizations differ.
 _CLASSES = {
-    "X2": ("X2", (0, 0), 0),  # x^2
-    "X2_MINUS1": ("X2", (0, 0), -1),  # x^2 - 1
-    "KX": ("X2", (0, 1), 0),  # x^2 + y
-    "JORDAN": ("JORDAN", (0, 0), 0),  # yx - xy + y^2
-    "JORDAN1": ("JORDAN", (0, 0), 1),  # yx - xy + y^2 + 1
-    "VFORM": ("JORDAN", (1, 0), 0),  # yx - xy + y^2 + x
-    "YX": ("YX", (0, 0), 0),  # yx
-    "S": ("YX", (0, 0), -1),  # yx - 1
-    "QPLANE": ("Q", (0, 0), 0),  # q yx - xy
-    "QWEYL": ("Q", (0, 0), 1),  # q yx - xy + 1
-    "UFORM": ("Q", (0, 1), 0),  # yx - xy + y
+    "X2": ("X2", (0, 0), 0, "RX2", "H_X2"),  # x^2
+    "X2_MINUS1": ("X2", (0, 0), -1, "RX2M1", "H_SX2"),  # x^2 - 1
+    "KX": ("X2", (0, 1), 0, "KX", "H_KX"),  # x^2 + y
+    "JORDAN": ("JORDAN", (0, 0), 0, "JORDAN", "H_JORDAN"),  # yx - xy + y^2
+    "JORDAN1": ("JORDAN", (0, 0), 1, "JORDAN1", "H_SJORDAN"),  # yx - xy + y^2 + 1
+    "VFORM": ("JORDAN", (1, 0), 0, "U", "H_ENVV"),  # yx - xy + y^2 + x
+    "YX": ("YX", (0, 0), 0, "RYX", "H_YX"),  # yx
+    "S": ("YX", (0, 0), -1, "S", "H_OS"),  # yx - 1
+    "QPLANE": ("Q", (0, 0), 0, "OQ", "H_OQ"),  # q yx - xy
+    "QWEYL": ("Q", (0, 0), 1, "WEYL_Q", "H_WEYL"),  # q yx - xy + 1
+    "UFORM": ("Q", (0, 1), 0, "U", "H_ENV"),  # yx - xy + y
 }
 
 CANONICAL_TAGS = tuple(_CLASSES)
@@ -63,7 +64,7 @@ class CanonicalClass(Label):
 
 
 def canonical_matrix(cls: CanonicalClass) -> StdFormMatrix:
-    block, lin, const = _CLASSES[cls.tag]
+    block, lin, const, _, _ = _CLASSES[cls.tag]
     if block == "Q":
         label = Canon2Label("Q", 1 if cls.q is None else cls.q)
     else:

@@ -14,9 +14,9 @@ from quadalg.algebra import (
     V_RELATION,
     V_TO_U,
     AlgebraClass,
-    HTriple,
     classify,
     classify_h,
+    poly_from_sf,
     qas_iso,
     sf_from_poly,
 )
@@ -291,11 +291,11 @@ def test_criterion_8_homogenization_separates_more():
     # ... upstairs all eleven representatives get distinct class names
     seen = []
     for cls in all_canonical_classes():
-        h = classify_h(HTriple(relation=canonical_matrix(cls)))
+        h = classify_h(poly_from_sf(canonical_matrix(cls)))
         seen.append(h.tag)
     ok = ok and len(set(seen)) == len(seen) == len(CANONICAL_TAGS)
-    h_u = classify_h(HTriple(relation=sf_from_poly(U_RELATION)))
-    h_v = classify_h(HTriple(relation=sf_from_poly(V_RELATION)))
+    h_u = classify_h(U_RELATION)
+    h_v = classify_h(V_RELATION)
     ok = ok and h_u.tag == "H_ENV" and h_v.tag == "H_ENVV"
     ok = ok and not reciprocal_equivalent(h_u, h_v)
     report("homogenization separation", ok)

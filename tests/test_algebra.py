@@ -1,8 +1,11 @@
-"""Algebra naming, the UFORM/VFORM glue, homogenization, the lemma that
-substitutions fix the commutation forms, parameter matrices."""
+"""Algebra naming, the central lemma checked by substitution in the free
+algebra, the UFORM/VFORM glue, homogenization, the lemma that substitutions
+fix the commutation forms, parameter matrices."""
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,12 +18,9 @@ from quadalg.algebra import (
     V_TO_U,
     AlgebraClass,
     HClass,
-    HTriple,
     algebra_of_class,
     classify,
     classify_h,
-    h_class_of,
-    homogeneous_poly_from_sf,
     homogenize,
     iso_check,
     poly_from_sf,
@@ -31,12 +31,14 @@ from quadalg.algebra import (
 from quadalg.congruence2 import Canon2Label, canonical_mat2, reciprocal_equivalent
 from quadalg.matrix import DegreeError, Mat2, Mat3, matrix_from_coeffs
 from quadalg.ncrewrite import NCPoly, substitute
+from quadalg.polyio import parse_poly
 from quadalg.scalar import Scalar, as_scalar
 from quadalg.sfcanon import (
     CanonicalClass,
     SfWitness,
     canonical_matrix,
     orbit_sample,
+    sf_canonicalize,
     sf_congruent,
     verify_witness,
 )
@@ -102,8 +104,43 @@ class TestPolyBridge:
 
     def test_homogeneous_reading_moves_affine_slots(self):
         f = X * X + X * 3 - ONE * 2
-        hp = homogeneous_poly_from_sf(sf_from_poly(f))
-        assert hp == X * X + X * Z * 3 - Z * Z * 2
+        assert homogenize(f) == X * X + X * Z * 3 - Z * Z * 2
+
+
+GOLDEN_CLASSIFY_RELATIONS = sorted({
+    case["argv"][1]
+    for path in (Path(__file__).resolve().parent / "data").glob("cli_golden*.json")
+    for case in json.loads(path.read_text())
+    if case["argv"][:1] == ["classify"] and case["exit"] == 0 and "--help" not in case["argv"]
+})
+
+
+def substituted(f: NCPoly, w: SfWitness) -> NCPoly:
+    """alpha * f(a x + b y + e, c x + d y + f'): the witness (P1, P2, alpha)
+    as a change of generators, with P1 = [[a, b], [c, d]] and P2 = (e, f')."""
+    p, (e, g) = w.linear, w.translation
+    images = {"x": X * p.a + Y * p.b + e, "y": X * p.c + Y * p.d + g}
+    return substitute(images, f) * w.scale
+
+
+class TestCentralLemma:
+    """The paper's central lemma without Mat3: substituting the witness of
+    sf_canonicalize into the relation and scaling by alpha gives the canonical
+    relation, term by term."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(cls=st.sampled_from(all_canonical_classes()), seed=st.integers(0, 2**32 - 1))
+    def test_orbit_samples_of_every_class(self, cls, seed):
+        m = orbit_sample(canonical_matrix(cls), random.Random(seed))
+        _, canonical, w = sf_canonicalize(m)
+        assert substituted(poly_from_sf(m), w) == poly_from_sf(canonical)
+
+    def test_golden_classify_relations(self):
+        assert len(GOLDEN_CLASSIFY_RELATIONS) > 15
+        for text in GOLDEN_CLASSIFY_RELATIONS:
+            f = parse_poly(text)
+            _, canonical, w = sf_canonicalize(sf_from_poly(f))
+            assert substituted(f, w) == poly_from_sf(canonical), text
 
 
 class TestClassify:
@@ -247,32 +284,21 @@ class TestUVBridge:
 
 class TestHomogenize:
     def test_linear_term_picks_up_z(self):
-        t = homogenize(Y * X - X * Y + Y)
-        assert t.relation_poly() == Y * X - X * Y + Y * Z
+        assert homogenize(Y * X - X * Y + Y) == Y * X - X * Y + Y * Z
 
     def test_constant_becomes_z_squared(self):
-        assert homogenize(X * X - ONE).relation_poly() == X * X - Z * Z
-        assert homogenize(Y * X - ONE).relation_poly() == Y * X - Z * Z
+        assert homogenize(X * X - ONE) == X * X - Z * Z
+        assert homogenize(Y * X - ONE) == Y * X - Z * Z
 
     def test_setting_z_to_one_recovers_f(self):
         f = X * Y * 2 - Y * Y + X * 5 - Y + ONE * 3
-        t = homogenize(f)
-        assert substitute({"z": ONE}, t.relation_poly()) == f
-        assert poly_from_sf(t.relation) == f
+        assert substitute({"z": ONE}, homogenize(f)) == f
 
     def test_setting_z_to_zero_recovers_the_top_part(self):
         f = X * Y * 2 - Y * Y + X * 5 - Y + ONE * 3
-        t = homogenize(f)
-        assert substitute({"z": NCPoly.zero()}, t.relation_poly()) == X * Y * 2 - Y * Y
+        assert substitute({"z": NCPoly.zero()}, homogenize(f)) == X * Y * 2 - Y * Y
 
     def test_commutation_forms_are_fixed(self):
-        t = homogenize(X * X)
-        with pytest.raises(TypeError):
-            HTriple(
-                relation=t.relation,
-                x_commutation=Mat3(((1, 0, 0), (0, 1, 0), (0, 0, 1))),
-            )
-
         def form(m):
             """The quadratic form of m over the generator vector (x, y, z)."""
             gens = (X, Y, Z)
@@ -285,27 +311,32 @@ class TestHomogenize:
         assert form(Y_COMMUTATION) == Y * Z - Z * Y
 
     def test_zero_quadratic_block_rejected(self):
-        with pytest.raises(DegreeError):
-            homogenize(X + Y)
-        with pytest.raises(ValueError):
-            HTriple(relation=matrix_from_coeffs((0, 0, 0, 0, 1, 1, 1)))
+        for f in (X + Y, X * Y * X):
+            with pytest.raises(DegreeError):
+                homogenize(f)
+            with pytest.raises(DegreeError):
+                classify_h(f)
+
+    def test_z_rejected(self):
+        with pytest.raises(ValueError, match="only use x and y"):
+            homogenize(X * Z + Y * Y)
 
 
 class TestClassifyH:
     def test_env_and_envv_separate(self):
-        a = classify_h(homogenize(Y * X - X * Y + Y))
-        b = classify_h(homogenize(Y * X - X * Y + Y * Y + X))
+        a = classify_h(Y * X - X * Y + Y)
+        b = classify_h(Y * X - X * Y + Y * Y + X)
         assert a == HClass("H_ENV")
         assert b == HClass("H_ENVV")
         assert a != b
         assert not reciprocal_equivalent(a, b)
 
     def test_weyl_example(self):
-        h = classify_h(homogenize(X * Y - Y * X * 2 - ONE * 5))
+        h = classify_h(X * Y - Y * X * 2 - ONE * 5)
         assert h == HClass("H_WEYL", q=2)
 
     def test_single_square(self):
-        assert classify_h(homogenize(X * X)) == HClass("H_X2")
+        assert classify_h(X * X) == HClass("H_X2")
 
     def test_name_of_every_canonical_class(self):
         names = {
@@ -323,7 +354,7 @@ class TestClassifyH:
         }
         seen = set()
         for cls in all_canonical_classes():
-            h = classify_h(HTriple(relation=canonical_matrix(cls)))
+            h = classify_h(poly_from_sf(canonical_matrix(cls)))
             assert h.tag == names[cls.tag]
             if cls.q is not None:
                 assert h.q == cls.q
@@ -334,11 +365,11 @@ class TestClassifyH:
         u = Y * X - X * Y + Y
         v = Y * X - X * Y + Y * Y + X
         assert reciprocal_equivalent(classify(u), classify(v))
-        assert classify_h(homogenize(u)) != classify_h(homogenize(v))
+        assert classify_h(u) != classify_h(v)
 
     def test_reciprocal_parameter_pairing(self):
-        a = classify_h(homogenize(X * Y - Y * X * 3))
-        b = classify_h(homogenize(X * Y - Y * X * Fraction(1, 3)))
+        a = classify_h(X * Y - Y * X * 3)
+        b = classify_h(X * Y - Y * X * Fraction(1, 3))
         assert a == b == HClass("H_OQ", q=3)
         assert reciprocal_equivalent(
             HClass("H_OQ", q=3), HClass("H_OQ", q=Fraction(1, 3))

@@ -143,6 +143,18 @@ class TestVerify:
         assert rc == 1
         assert "witness does not verify" in err
 
+    @pytest.mark.parametrize("alpha, verified", [(None, True), ("7", False)])
+    def test_json_mode_prints_a_document(self, capsys, tmp_path, alpha, verified):
+        rc, out, _ = run(capsys, "classify", "xy - 2yx - 1", "--format", "json")
+        doc = json.loads(out)
+        if alpha is not None:
+            doc["witness"]["alpha"] = alpha
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps(doc))
+        rc, out, err = run(capsys, "verify", "xy - 2yx - 1", "--report", str(report),
+                           "--format", "json")
+        assert (rc, json.loads(out), err) == (0 if verified else 1, {"verified": verified}, "")
+
     def test_bridge_report_has_no_witness(self, capsys, tmp_path):
         rc, out, _ = run(
             capsys,

@@ -13,7 +13,7 @@ from quadalg.matrix import (
     matrix_from_coeffs,
     sf_map,
 )
-from quadalg.scalar import Scalar, sqrt_extend
+from quadalg.scalar import Scalar, as_scalar, sqrt_extend
 from quadalg.sfcanon import SfWitness
 
 ints = st.integers(min_value=-6, max_value=6)
@@ -58,6 +58,12 @@ class TestMat2:
         p = m.pfaffian()
         # the antisymmetric part is [[0, -p], [p, 0]]
         assert Mat2(s.a, s.b - p, s.c + p, s.d) == m
+
+    def test_floats_are_refused_by_name(self):
+        # one converter for every entry: a matrix refuses a float as a scalar does
+        for make in (lambda: Mat2(0.5, 0, 0, 1), lambda: as_scalar(0.5)):
+            with pytest.raises(TypeError, match="floats are not exact"):
+                make()
 
     def test_predicates(self):
         assert Mat2(0, 0, 0, 0).is_zero()

@@ -9,7 +9,6 @@ from quadalg.ncrewrite import (
     DegreeBoundError,
     NCPoly,
     NotOrientableError,
-    Rule,
     RewriteSystem,
     leading_word,
     locally_confluent,
@@ -84,19 +83,17 @@ class TestNCPoly:
 
 class TestOrient:
     def test_u_relation(self):
-        rule = orient(REL_U, "y<x")
-        assert rule.lhs == "xy"
-        assert rule.rhs == Y * X + Y
+        lhs, rhs = orient(REL_U, "y<x")
+        assert lhs == "xy"
+        assert rhs == Y * X + Y
 
     def test_v_relation(self):
-        rule = orient(REL_V, "y<x")
-        assert rule.lhs == "xy"
-        assert rule.rhs == Y * X + Y * Y + X
+        lhs, rhs = orient(REL_V, "y<x")
+        assert lhs == "xy"
+        assert rhs == Y * X + Y * Y + X
 
     def test_centrality(self):
-        rule = orient(X * Z - Z * X, "z<y<x")
-        assert rule.lhs == "xz"
-        assert rule.rhs == Z * X
+        assert orient(X * Z - Z * X, "z<y<x") == ("xz", Z * X)
 
     @pytest.mark.parametrize("precedence, letter", [
         ("<y<x", "''"), ("y<<x", "''"), (["xy", "z"], "'xy'"), ("yx<z", "'yx'"),
@@ -122,7 +119,7 @@ class TestOrient:
     def test_incompatible_rule_pair_rejected(self):
         # xy -> y^2 needs x above y; yx -> x^2 needs y above x; no
         # precedence satisfies both, so the pair can never terminate
-        pair = (Rule("xy", Y * Y), Rule("yx", X * X))
+        pair = (("xy", Y * Y), ("yx", X * X))
         for prec in ("y<x", "x<y"):
             with pytest.raises(ValueError):
                 RewriteSystem(pair, prec)
@@ -131,12 +128,26 @@ class TestOrient:
         # given as relations, orientation picks the true leading words and
         # produces a terminating system
         sys = system_from_relations([X * Y - Y * Y, Y * X - X * X], "y<x")
-        assert {r.lhs for r in sys.rules} == {"xy", "xx"}
+        assert set(sys.rules) == {"xy", "xx"}
 
     def test_termination_validated_at_construction(self):
-        bad = Rule("xy", X * Y + Y)
-        with pytest.raises(ValueError):
-            RewriteSystem((bad,), "y<x")
+        with pytest.raises(ValueError, match="'xy' does not dominate its right side"):
+            RewriteSystem({"xy": X * Y + Y}, "y<x")
+
+    @pytest.mark.parametrize("pairs, message", [
+        ((("xyx", Y),), "rule left sides must be words of length 2"),
+        ((("xw", Y),), "letter 'w' is outside the alphabet xyz"),
+        ((("xy", Y), ("xy", Y * Y)), "duplicate rule for 'xy'"),
+        ((("xy", Y), ("yx", X * Y)), "rule 'yx' does not dominate its right side"),
+    ])
+    def test_construction_checks_each_rule(self, pairs, message):
+        with pytest.raises(ValueError, match=message):
+            RewriteSystem(pairs, "y<x")
+
+    def test_rules_are_one_dict_from_left_to_right_side(self):
+        sys = system_from_relations([REL_U, X * Z - Z * X], "z<y<x")
+        assert sys.rules == {"xy": Y * X + Y, "xz": Z * X}
+        assert RewriteSystem(sys.rules, sys.precedence) == sys
 
 
 class TestReduce:
@@ -208,18 +219,18 @@ class TestConfluenceSmoke:
         assert locally_confluent(sys_h_sxx())
 
     def test_broken_system_detected(self):
-        sys = RewriteSystem((Rule("xy", X), Rule("yx", Y)), "y<x")
+        sys = RewriteSystem({"xy": X, "yx": Y}, "y<x")
         assert not locally_confluent(sys)
 
     def test_broken_system_has_no_degree_cap_to_hide_behind(self):
         # a cap of 2 once skipped both overlaps (xyx, yxy) and passed this system
-        sys = RewriteSystem((Rule("xy", X), Rule("yx", Y)), "y<x")
+        sys = RewriteSystem({"xy": X, "yx": Y}, "y<x")
         with pytest.raises(TypeError):
             locally_confluent(sys, 2)
 
     def test_self_overlap_checked(self):
         # xxx rewrites to yx and to xy, two different normal forms
-        assert not locally_confluent(RewriteSystem((Rule("xx", Y),), "y<x"))
+        assert not locally_confluent(RewriteSystem({"xx": Y}, "y<x"))
 
     def test_kx_system_has_no_overlaps(self):
         assert locally_confluent(sys_h_kx())

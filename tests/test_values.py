@@ -10,10 +10,10 @@ import pytest
 
 import quadalg
 from quadalg._value import Value
-from quadalg.algebra import AlgebraClass, HTriple
+from quadalg.algebra import AlgebraClass
 from quadalg.congruence2 import Canon2Label
 from quadalg.matrix import Mat2, Mat3, StdFormMatrix
-from quadalg.ncrewrite import NCPoly, Rule, RewriteSystem, orient
+from quadalg.ncrewrite import NCPoly, RewriteSystem, orient
 from quadalg.scalar import Enclosure, _Ball, sqrt_extend
 from quadalg.sfcanon import SfWitness
 
@@ -32,12 +32,10 @@ CASES = [
      lambda: Canon2Label("Q", 1 / R2)),
     (AlgebraClass, ("tag", "q", "via_v"), lambda: AlgebraClass("U", via_v=True),
      lambda: AlgebraClass("U")),
-    (HTriple, ("relation",), lambda: HTriple(std()), lambda: HTriple(std(2))),
     (Mat2, ("a", "b", "c", "d"), lambda: Mat2(1, R2, 0, 1), lambda: Mat2(1, -R2, 0, 1)),
     (Mat3, ("rows",), lambda: Mat3(((1, 0, R2), (0, 1, 0), (0, 0, 1))),
      lambda: Mat3(((1, 0, 0), (0, 1, 0), (0, 0, 1)))),
     (StdFormMatrix, ("hom", "lin", "const"), std, lambda: std(2)),
-    (Rule, ("lhs", "rhs"), lambda: Rule("yx", X * Y), lambda: Rule("yx", -(X * Y))),
     (RewriteSystem, ("rules", "precedence"),
      lambda: RewriteSystem([orient(X * Y - Y * X, "y<x")], "y<x"),
      lambda: RewriteSystem([], "y<x")),
