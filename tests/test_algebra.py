@@ -311,11 +311,10 @@ class TestHomogenize:
         assert form(Y_COMMUTATION) == Y * Z - Z * Y
 
     def test_zero_quadratic_block_rejected(self):
-        for f in (X + Y, X * Y * X):
-            with pytest.raises(DegreeError):
-                homogenize(f)
-            with pytest.raises(DegreeError):
-                classify_h(f)
+        with pytest.raises(DegreeError):
+            homogenize(X + Y)
+        with pytest.raises(DegreeError):
+            classify_h(X + Y)
 
     def test_z_rejected(self):
         with pytest.raises(ValueError, match="only use x and y"):
