@@ -177,17 +177,18 @@ def parse_precedence(text: str | Sequence[str]) -> tuple[str, ...]:
 
 
 def _order_key(word: Word, rank: Mapping[str, int]):
-    return (len(word), tuple(rank[ch] for ch in word))
+    """Sort key of a word under the precedence `rank`: length, then letters;
+    a letter the precedence leaves out raises ValueError naming it."""
+    try:
+        return (len(word), tuple(rank[ch] for ch in word))
+    except KeyError as missing:
+        raise ValueError(f"letter {missing.args[0]!r} missing from the precedence") from None
 
 
 def leading_word(p: NCPoly, precedence: Sequence[str]) -> Word:
     if p.is_zero():
         raise NotOrientableError("the zero polynomial has no leading word")
     rank = {ch: i for i, ch in enumerate(parse_precedence(precedence))}
-    for w in p.words():
-        for ch in w:
-            if ch not in rank:
-                raise ValueError(f"letter {ch!r} missing from the precedence")
     return max(p.words(), key=lambda w: _order_key(w, rank))
 
 

@@ -114,8 +114,9 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
 
 
 # A term's coefficient before its first factor; that factor replaces it
-# without a product.
-_ONE = Fraction(1)
+# without a product.  A parsed 1 may be this same int object, and replacing
+# it is right too: 1 times a factor is the factor.
+_ONE = 1
 
 
 class _Parser:
@@ -139,10 +140,11 @@ class _Parser:
         return self.advance()
 
     # scalar grammar: expr := [+-] term {(+|-) term};  term := factor {(*|/) factor}
-    # A number is a Fraction, and rational text folds as Fractions; a value
+    # A number is an int, a quotient of two ints one Fraction (`_quotient`),
+    # and the rest of rational text folds as ints and Fractions; a value
     # becomes a Scalar only at sqrt(...), and the operators then take
-    # Fraction operands as they are.
-    def scalar_expr(self) -> Fraction | Scalar:
+    # rational operands as they are.
+    def scalar_expr(self) -> int | Fraction | Scalar:
         negative = False
         if self.peek()[0] in ("+", "-"):
             negative = self.advance()[0] == "-"
@@ -155,24 +157,19 @@ class _Parser:
             total = total - term if op == "-" else total + term
         return total
 
-    def scalar_term(self) -> Fraction | Scalar:
+    def scalar_term(self) -> int | Fraction | Scalar:
         value = self.scalar_factor()
         while self.peek()[0] in ("*", "/"):
             op = self.advance()[0]
             rhs = self.scalar_factor()
-            if op == "/":
-                if not rhs:
-                    raise ZeroDivisionError("division by zero in scalar text")
-                value = value / rhs
-            else:
-                value = value * rhs
+            value = _quotient(value, rhs) if op == "/" else value * rhs
         return value
 
-    def scalar_factor(self) -> Fraction | Scalar:
+    def scalar_factor(self) -> int | Fraction | Scalar:
         kind, value, col = self.peek()
         if kind == "number":
             self.advance()
-            return Fraction(value)
+            return value
         if kind == "letters" and value == "sqrt":
             self.advance()
             self.expect("(")
@@ -188,7 +185,7 @@ class _Parser:
             raise PolySyntaxError("variables are not allowed here", col)
         raise PolySyntaxError("expected a number, sqrt(...) or (...)", col)
 
-    def nested_expr(self, col: int) -> Fraction | Scalar:
+    def nested_expr(self, col: int) -> int | Fraction | Scalar:
         """The scalar expression inside a parenthesis opened at col."""
         if self.depth >= MAX_NESTING:
             raise PolySyntaxError(f"parentheses nest deeper than {MAX_NESTING}", col)
@@ -226,7 +223,7 @@ class _Parser:
             if sign not in ("+", "-"):
                 return NCPoly({w: _scalar(c) for w, c in terms.items()})
 
-    def poly_term(self) -> tuple[str, Fraction | Scalar]:
+    def poly_term(self) -> tuple[str, int | Fraction | Scalar]:
         """(word, coefficient) of one term."""
         coeff = _ONE
         word = ""
@@ -248,10 +245,7 @@ class _Parser:
                 self.advance()
                 if not self.at_scalar_factor():
                     raise PolySyntaxError("can only divide by a scalar", self.peek()[2])
-                rhs = self.scalar_factor()
-                if not rhs:
-                    raise ZeroDivisionError("division by zero in scalar text")
-                coeff = coeff / rhs
+                coeff = _quotient(coeff, self.scalar_factor())
                 saw_factor = True
                 continue
             if self.at_scalar_factor():
@@ -283,7 +277,17 @@ class _Parser:
         return word, coeff
 
 
-def _scalar(value: Fraction | Scalar) -> Scalar:
+def _quotient(value, rhs):
+    """value / rhs for parsed values: two ints give one Fraction, never a
+    float; a zero rhs raises ZeroDivisionError."""
+    if not rhs:
+        raise ZeroDivisionError("division by zero in scalar text")
+    if value.__class__ is int and rhs.__class__ is int:
+        return Fraction(value, rhs)
+    return value / rhs
+
+
+def _scalar(value: int | Fraction | Scalar) -> Scalar:
     """A parsed value as a Scalar; 0, 1 and -1 give the shared constants."""
     if value.__class__ is Scalar:
         return value

@@ -516,7 +516,7 @@ class Scalar(Value):
 
     @staticmethod
     def from_fraction(q: RationalLike) -> "Scalar":
-        return _normalised((), Fraction(q))
+        return _normalised((), q if q.__class__ is Fraction else Fraction(q))
 
     @staticmethod
     def zero() -> "Scalar":
@@ -849,6 +849,10 @@ def _render_terms(terms) -> str:
 
 
 def format_scalar(s: Scalar) -> str:
+    # a rational value is one term with no radicals, and the sign of its
+    # text is the sign of its numerator
+    if not s._tower:
+        return _fraction_text(s._elt)
     return _render_terms(s._terms())
 
 

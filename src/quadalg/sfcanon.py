@@ -15,12 +15,15 @@ stages are read off the linear column and constant that the block stage
 yields, and one independent check, `verify_witness` of the composed witness
 against the input, runs before the witness is returned.  That check is the
 only place the canonicalizer evaluates the action (`SfWitness.apply`, a 3x3
-product); composing the stages (`SfWitness.then`) shares no code with it.
+product: of integer matrices over cleared denominators when every entry is
+rational, of `Mat3`s lifted onto one tower otherwise); composing the stages
+(`SfWitness.then`) shares no code with it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from ._value import Value
 from .congruence2 import (
@@ -124,9 +127,26 @@ class SfWitness(Value):
     def apply(self, n: StdFormMatrix) -> StdFormMatrix:
         """alpha * fold(P^T n P), by multiplying the embedded 3x3 matrices.
 
-        It first lifts the 18 entries onto one tower (`on_one_tower`), so
-        that the product merges no towers; entries that already share one
-        are used as they are."""
+        When every entry of P and n and alpha is rational, P and n are each
+        cleared of denominators once and P^T n P is a product of integer
+        matrices; each of the seven entries becomes a fraction only after the
+        fold, scaled by alpha over the cleared denominators.  Otherwise the
+        18 entries are first lifted onto one tower (`on_one_tower`), so that
+        the product of `Mat3`s merges no towers; entries that already share
+        one are used as they are."""
+        p, (e, f), h, (u, v) = self.linear, self.translation, n.hom, n.lin
+        alpha = self.scale.as_fraction()
+        cp = alpha is not None and _cleared((p.a, p.b, e, p.c, p.d, f, Scalar.one()))
+        cn = cp and _cleared((h.a, h.b, u, h.c, h.d, v, n.const))
+        if cn:
+            (pi, dp), (ni, dn) = cp, cn
+            r = _int_product(_int_product(tuple(zip(*pi)), ni), pi)
+            num, den = alpha.numerator, alpha.denominator * dp * dp * dn
+            return StdFormMatrix(
+                Mat2(*(_ratio(num * x, den) for x in (r[0][0], r[0][1], r[1][0], r[1][1]))),
+                (_ratio(num * (r[0][2] + r[2][0]), den), _ratio(num * (r[1][2] + r[2][1]), den)),
+                _ratio(num * r[2][2], den),
+            )
         pm, nm = self.embed(), n.embed()
         entries = sum(pm.rows + nm.rows, ())
         lifted = on_one_tower(entries)
@@ -134,6 +154,32 @@ class SfWitness(Value):
             pm = Mat3((lifted[0:3], lifted[3:6], lifted[6:9]))
             nm = Mat3((lifted[9:12], lifted[12:15], lifted[15:18]))
         return sf_map(pm.transpose() * nm * pm).scale(self.scale)
+
+
+def _cleared(entries):
+    """The matrix [[a, b, e], [c, d, f], [0, 0, n]] of the rational Scalars
+    entries = (a, b, e, c, d, f, n) as integer rows over one positive
+    denominator: (rows, denominator), or None when an entry is not rational."""
+    qs = [x.as_fraction() for x in entries]
+    if any(q is None for q in qs):
+        return None
+    den = lcm(*(q.denominator for q in qs))
+    a, b, e, c, d, f, n = (q.numerator * (den // q.denominator) for q in qs)
+    return ((a, b, e), (c, d, f), (0, 0, n)), den
+
+
+def _int_product(x, y):
+    """The product of two 3x3 integer matrices given as rows."""
+    cols = tuple(zip(*y))
+    return tuple(
+        tuple(r0 * c0 + r1 * c1 + r2 * c2 for c0, c1, c2 in cols) for r0, r1, r2 in x
+    )
+
+
+def _ratio(num: int, den: int) -> Scalar:
+    """num / den as a Scalar; 0, 1 and -1 give the shared constants."""
+    q = Fraction(num, den)
+    return as_scalar(q.numerator) if q.denominator == 1 else Scalar.from_fraction(q)
 
 
 def scaling(gamma) -> SfWitness:

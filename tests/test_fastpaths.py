@@ -14,8 +14,10 @@ unshared value gives.
 Lists of depth 0-3 scalars, products of those roots taken in any order and
 so over differently ordered towers, pin `on_one_tower` to the values it was
 given; the witness checker, which lifts its entries with it, must accept
-the witness of every such orbit sample and reject a wrong one, and on
-rational entries it must do nothing the plain product does not.
+the witness of every such orbit sample and reject a wrong one.  On rational
+entries the checker multiplies integer matrices instead: it must equal the
+plain product on random rationals, large denominators and cancelling
+entries included, and build no Mat3.
 """
 
 import operator
@@ -26,11 +28,11 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import quadalg.scalar as scalar
 import quadalg.sfcanon as sfcanon
-from quadalg.matrix import Mat2, Mat3, StdFormMatrix, sf_map
+from quadalg.matrix import Mat2, Mat3, StdFormMatrix, coeffs_from_matrix, sf_map
 from quadalg.scalar import (
     Scalar,
     _add,
@@ -358,14 +360,59 @@ def test_checker_accepts_mixed_tower_orbit_witnesses(case):
         assert not verify_witness(target, m, wrong)
 
 
+wide = st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 10**6))
+rational_entries = st.one_of(st.sampled_from((0, 1, -1)), small, wide)
+
+
+@st.composite
+def rational_cases(draw):
+    """(M, witness) with every entry rational: 0, 1, -1, small, or with
+    numerator and denominator up to 10**6; alpha of either sign, whole or
+    fractional.  P1 invertible."""
+    e = [draw(rational_entries) for _ in range(7)]
+    m = StdFormMatrix(Mat2(*e[:4]), (e[4], e[5]), e[6])
+    while True:
+        linear = Mat2(*(draw(rational_entries) for _ in range(4)))
+        if not linear.det().is_zero():
+            break
+    translation = (draw(rational_entries), draw(rational_entries))
+    return m, SfWitness(linear, translation, draw(rational_entries.filter(bool)))
+
+
+@settings(max_examples=150)
+@given(rational_cases())
+@example((
+    StdFormMatrix(Mat2(Fraction(999_999, 1_000_000), -1, Fraction(1, 999_983), 0),
+                  (Fraction(-7, 3), 0), Fraction(5, 999_999)),
+    SfWitness(Mat2(Fraction(1, 999_983), 2, Fraction(-3, 1_000_000), 1),
+              (Fraction(1, 7), Fraction(-2, 999_999)), Fraction(-3, 7)),
+))
+def test_rational_apply_matches_mat3_fold(case):
+    """The integer product equals the plain product, and the witness back
+    (its inverse) cancels the result to m's entries, zeros included."""
+    m, w = case
+    got = w.apply(m)
+    assert got == mat3_fold(m, w)
+    assert all(type(x.as_fraction()) is Fraction for x in coeffs_from_matrix(got))
+    back = w.inverse()
+    assert back.apply(got) == m == mat3_fold(got, back)
+    assume(not m.hom.is_zero())
+    wrong = perturbed(w)
+    assume(mat3_fold(m, wrong) != got)
+    with composition_refused():
+        assert verify_witness(got, m, w)
+        assert not verify_witness(got, m, rescaled(w, 2))
+        assert not verify_witness(got, m, rescaled(w, -1))
+        assert not verify_witness(got, m, wrong)
+
+
 def refuse_merge(*args):
     raise AssertionError("a check on rational entries merged towers")
 
 
 def test_rational_check_does_no_extra_work():
-    """Rational entries come back as they are, so the check merges no tower
-    and builds only the plain product's five Mat3s: two embeddings, one
-    transpose and two products."""
+    """On rational entries the check is an integer product: it builds no
+    Mat3 and merges no tower, and it still rejects a wrong witness."""
     built = Counter()
     plain_init = Mat3.__init__
 
@@ -377,11 +424,11 @@ def test_rational_check_does_no_extra_work():
     for tag in ("QWEYL", "VFORM", "X2_MINUS1"):
         m = canonical_matrix(CanonicalClass(tag, 3 if tag == "QWEYL" else None))
         sample, w = orbit_sample_with_witness(m, rng)
-        entries = sum(w.embed().rows + m.embed().rows, ())
-        assert on_one_tower(entries) is entries
         built.clear()
         with mock.patch.object(Mat3, "__init__", counted_init), mock.patch.object(
             scalar, "_merge_towers", refuse_merge
         ):
             assert verify_witness(sample, m, w)
-        assert built["Mat3"] == 5
+            assert not verify_witness(sample, m, rescaled(w, 2))
+            assert not verify_witness(sample, m, perturbed(w))
+        assert built["Mat3"] == 0

@@ -139,10 +139,16 @@ class TestOrient:
         ((("xw", Y),), "letter 'w' is outside the alphabet xyz"),
         ((("xy", Y), ("xy", Y * Y)), "duplicate rule for 'xy'"),
         ((("xy", Y), ("yx", X * Y)), "rule 'yx' does not dominate its right side"),
+        ((("xz", X),), "letter 'z' missing from the precedence"),
+        ((("xy", Z),), "letter 'z' missing from the precedence"),
     ])
     def test_construction_checks_each_rule(self, pairs, message):
         with pytest.raises(ValueError, match=message):
             RewriteSystem(pairs, "y<x")
+
+    def test_orient_names_a_letter_missing_from_the_precedence(self):
+        with pytest.raises(ValueError, match="letter 'z' missing from the precedence"):
+            orient(X * Y + Z, "y<x")
 
     def test_rules_are_one_dict_from_left_to_right_side(self):
         sys = system_from_relations([REL_U, X * Z - Z * X], "z<y<x")

@@ -348,6 +348,83 @@ class TestOnePassParse:
             assert s is sc(int(value))
 
 
+# A chain of rational factors joined by '*' and '/' with no parentheses
+# around it, the word x placed anywhere in it or left out: 1/2/3, 2*x/4,
+# x/3, (-3/2)*x, sqrt(4/9)*x.  A factor is a number, a parenthesized
+# rational expression, or the root of a rational square.
+chain_factors = st.one_of(
+    st.integers(min_value=0, max_value=12).map(lambda n: (str(n), Fraction(n))),
+    rational_texts(),
+    st.builds(lambda p, q: (f"sqrt({p * p}/{q * q})", Fraction(p, q)),
+              st.integers(min_value=0, max_value=12), st.integers(min_value=1, max_value=12)),
+)
+
+
+def fold(value, op, v):
+    if value is None or (op == "/" and not v):
+        return None
+    return value * v if op == "*" else value / v
+
+
+@st.composite
+def factor_chains(draw):
+    """(text, value) of a scalar chain and of a term with the word x in it:
+    each value is what Fraction folding from the left gives, None after a
+    division by zero.  A term may start with x, as in x/3."""
+    factors = draw(st.lists(chain_factors, min_size=1, max_size=4))
+    ops = draw(st.lists(st.sampled_from("*/"), min_size=len(factors), max_size=len(factors)))
+    at = draw(st.integers(min_value=0, max_value=len(factors)))
+    term, scalar = ("", Fraction(1)), ("", Fraction(1))
+    for i, ((text, v), op) in enumerate(zip(factors, ops)):
+        if i == at:
+            term = (term[0] + "*x" if term[0] else "x", term[1])
+        term = (term[0] + op + text, fold(term[1], op, v)) if term[0] else (text, v)
+        scalar = (scalar[0] + op + text, fold(scalar[1], op, v)) if i else (text, v)
+    if at == len(factors):
+        term = (term[0] + "*x", term[1])
+    return term, scalar
+
+
+class TestNoFloats:
+    """A quotient of two integers is one Fraction, never a float: every
+    coefficient equals what Fraction folding gives, and every rational
+    coefficient is a Scalar over a Fraction."""
+
+    @pytest.mark.parametrize("text, word, value", [
+        ("1/2/3", "", Fraction(1, 6)),
+        ("(-3/2)*xy", "xy", Fraction(-3, 2)),
+        ("x/3", "x", Fraction(1, 3)),
+        ("2*x/4", "x", Fraction(1, 2)),
+        ("(1/3)*(3/1)", "", 1),
+        ("sqrt(4/9)*x", "x", Fraction(2, 3)),
+        ("10000000000000000000001/3*y", "y", Fraction(10**22 + 1, 3)),
+    ])
+    def test_examples(self, text, word, value):
+        c = parse_poly(text).coeff(word)
+        assert c.tower_depth == 0 and type(c.as_fraction()) is Fraction
+        assert c.as_fraction() == value
+
+    @given(factor_chains())
+    @settings(max_examples=150)
+    def test_chains_fold_as_fractions(self, case):
+        for (text, value), parse in zip(case, (parse_poly, parse_scalar)):
+            if value is None:
+                with pytest.raises(ZeroDivisionError, match="division by zero in scalar text"):
+                    parse(text)
+                continue
+            c = parse(text)
+            if parse is parse_poly:
+                assert list(c.words()) == (["x"] if value else [])
+                c = c.coeff("x")
+            assert c.tower_depth == 0 and type(c.as_fraction()) is Fraction
+            assert c.as_fraction() == value
+
+    def test_division_by_zero_is_refused(self):
+        for parse, text in ((parse_scalar, "1/0"), (parse_poly, "1/0*x"), (parse_poly, "x/(2 - 2)")):
+            with pytest.raises(ZeroDivisionError, match="division by zero in scalar text"):
+                parse(text)
+
+
 class TestDocuments:
     def test_matrix_document_round_trip(self):
         m = matrix_from_coeffs([1, 2, -3, Fraction(1, 2), 0, 5, -1])
