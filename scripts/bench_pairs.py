@@ -2,7 +2,8 @@
 """Run the benchmark on a parent revision and on the working tree, in pairs.
 
     python3 scripts/bench_pairs.py --parent HEAD~1 --seeds 1-10 \\
-        --workloads canon-orbit congruent-pairs --out BENCH_N.json
+        --workloads canon-orbit congruent-pairs --out BENCH_N.json \\
+        --claim op_ms_p95@congruent-pairs
 
 The parent revision is exported with `git archive`, and the working tree's
 tracked and untracked (not ignored) files are copied, each into its own
@@ -26,6 +27,12 @@ worsening counts), the same test the benchmark gate makes; its
 `near_bound` lists those worse by more than half their bound (the
 over-bound ones included), so a metric creeping toward its bound shows
 before the gate trips.
+With `--claim METRIC@WORKLOAD`, that workload's summary also gets a `claim`
+block: the pairs the change won out of the pairs run (ties count for
+neither), the shift of the median in the better direction, the parent's
+interquartile range and their ratio, and `met`, true when the change won
+at least nine tenths of the pairs and the shift exceeds the parent's
+interquartile range.
 It reads bench/ and changes nothing in the repository except the output
 file.
 """
@@ -170,6 +177,37 @@ def worse_by(parent_median, change_median, higher_is_better: bool) -> float:
     return float("inf") if loss > 0 else 0.0
 
 
+def claim_verdict(parent: dict, change: dict, name: str, higher_is_better: bool) -> dict:
+    """Whether the change gains on metric `name`: at least 9 of 10 pairs
+    won, ties counting for neither, and the medians apart by more than the
+    parent's interquartile range in the better direction."""
+    pairs = [(p, c) for p, c in zip(parent[name], change[name])
+             if p is not None and c is not None]
+    won = sum((c > p) if higher_is_better else (c < p) for p, c in pairs)
+    ps, cs = [p for p, _ in pairs], [c for _, c in pairs]
+    shift = iqr = 0.0
+    if pairs:
+        shift = statistics.median(cs) - statistics.median(ps)
+        shift = shift if higher_is_better else -shift
+        iqr = quartile_spread(ps)
+    return {
+        "metric": name, "pairs_won": won, "pairs_run": len(pairs),
+        "median_shift": round(shift, 5), "parent_iqr": round(iqr, 5),
+        "shift_over_iqr": round(shift / iqr, 3) if iqr else None,
+        "met": bool(pairs) and 10 * won >= 9 * len(pairs) and shift > iqr,
+    }
+
+
+def parse_claim(text: str, metrics, workloads) -> tuple[str, str]:
+    """METRIC@WORKLOAD as (metric, workload); ValueError when either is not
+    one the run reports."""
+    metric, _, workload = text.partition("@")
+    if metric not in metrics or workload not in workloads:
+        raise ValueError(f"--claim {text!r}: expected METRIC@WORKLOAD with an end-to-end "
+                         f"metric of BENCHMARK.json and a workload that is run")
+    return metric, workload
+
+
 def summarize(parent: dict, change: dict, metrics: dict) -> dict:
     out = {}
     over_bound, near_bound = [], []
@@ -221,6 +259,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float,
                         help="run length (default: run_seconds of BENCHMARK.json)")
     parser.add_argument("--out", required=True, help="BENCH_<n>.json to write")
+    parser.add_argument("--claim", metavar="METRIC@WORKLOAD",
+                        help="judge a claimed gain on one metric of one workload")
     args = parser.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -229,6 +269,12 @@ def main(argv=None) -> int:
     workloads = args.workloads or [w["name"] for w in bench["workloads"]]
     metrics = {m["name"]: m for m in bench["end_to_end"]}
     seeds = parse_seeds(args.seeds)
+    claim = None
+    if args.claim:
+        try:
+            claim = parse_claim(args.claim, metrics, workloads)
+        except ValueError as exc:
+            parser.error(str(exc))
     parent_rev = git("rev-parse", args.parent).strip()
 
     doc = {
@@ -263,6 +309,10 @@ def main(argv=None) -> int:
             tables = {side: side_table(r, metrics) for side, r in runs.items()}
             doc["workloads"][workload] = {"seeds": seeds, **tables}
             doc["summary"][workload] = summarize(tables["parent"], tables["change"], metrics)
+            if claim and claim[1] == workload:
+                doc["summary"][workload]["claim"] = claim_verdict(
+                    tables["parent"], tables["change"], claim[0],
+                    metrics[claim[0]]["better"] == "higher")
             # written after each workload, so an interrupted run keeps what it finished
             Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
     return 0

@@ -28,7 +28,10 @@ value over by placing it, not by multiplying: a level admitted for one of
 the other tower's roots is recorded by its index k, and multiplying by
 that root moves slots, ``(a, b) -> (b*r_k, a)`` at level k and the same
 move on both halves above it.  Only a root found inside the tower is
-recorded as an element and taken by a general product.
+recorded as an element and taken by a general product.  When every
+radicand is rational the common tower is a multiquadratic field, and
+`radical_terms` reads its values on the products of roots scaled to
+integer squares, a basis, so that the witness check multiplies integers.
 
 The representation of a depth-k element is a nested pair ``(a, b)`` standing
 for ``a + b*sqrt(r_k)`` with ``a``, ``b`` at depth k-1 and plain ``Fraction``
@@ -668,9 +671,6 @@ class Scalar(Value):
 
     # -- printing
 
-    def _terms(self):
-        return _flatten_terms(self._elt, len(self._tower), self._tower)
-
     def __str__(self) -> str:
         return format_scalar(self)
 
@@ -791,6 +791,55 @@ def on_one_tower(values):
 
 
 # ---------------------------------------------------------------------------
+# monomials: the element as its coefficients of products of the roots
+
+
+def _monomials(e, depth, out, mask=0):
+    """out, updated with each nonzero coefficient of the element e by the
+    bitmask S of levels of its monomial prod_{j in S} sqrt(r_j), in
+    increasing order of S."""
+    if not depth:
+        if e:
+            out[mask] = e
+        return out
+    _monomials(e[0], depth - 1, out, mask)
+    return _monomials(e[1], depth - 1, out, mask | 1 << (depth - 1))
+
+
+def rational_radicands(values) -> bool:
+    """True when every radicand of the towers of `values` is rational."""
+    return all(_monomials(level.radicand, j, {}).keys() == {0}
+               for tower in {v._tower for v in values} for j, level in enumerate(tower))
+
+
+def radical_terms(values):
+    """Values over one tower with rational radicands r_j = n_j / d_j (as
+    `on_one_tower` returns them) on the linearly independent monomials
+    rho_S = prod_{j in S} rho_j of rho_j = d_j sqrt(r_j), S a bitmask of
+    levels: (squares, terms, scalar).  squares[S] = rho_S^2 is an integer;
+    terms has each value as a dict from S to the numerator and denominator
+    of its nonzero coefficient of rho_S; scalar(x, den) is the normalised
+    Scalar sum(x[S] rho_S) / den of integers x[S]."""
+    tower = max((v._tower for v in values), key=len)
+    squares, dens = [1], [1]  # by S: rho_S^2 and rho_S / prod_{j in S} sqrt(r_j)
+    for j, level in enumerate(tower):
+        r = _monomials(level.radicand, j, {})[0]
+        squares += [s * r.numerator * r.denominator for s in squares]
+        dens += [d * r.denominator for d in dens]
+
+    def scalar(x, den):
+        e = [Fraction(x[s] * dens[s], den) if x.get(s) else ZERO._elt for s in range(len(dens))]
+        while len(e) > 1:
+            e = list(zip(e[0::2], e[1::2]))
+        value = Scalar(tower, e[0])
+        return value if value._tower else _SHARED.get(value._elt, value)
+
+    terms = [_monomials(v._elt, len(v._tower), {}) for v in values]
+    return squares, [{s: (c.numerator, c.denominator * dens[s]) for s, c in q.items()}
+                     for q in terms], scalar
+
+
+# ---------------------------------------------------------------------------
 # text rendering
 
 
@@ -801,14 +850,9 @@ def _radical_text(tower, idx) -> str:
 
 def _flatten_terms(e, depth, tower):
     """List of (Fraction coefficient, tuple of radical texts) products."""
-    if depth == 0:
-        return [(e, ())] if e != 0 else []
-    a, b = e
-    out = list(_flatten_terms(a, depth - 1, tower))
-    rad = _radical_text(tower, depth - 1)
-    for coeff, rads in _flatten_terms(b, depth - 1, tower):
-        out.append((coeff, rads + (rad,)))
-    return out
+    rads = [_radical_text(tower, j) for j in range(depth)]
+    return [(c, tuple(rads[j] for j in range(depth) if s >> j & 1))
+            for s, c in _monomials(e, depth, {}).items()]
 
 
 def _int_text(n: int) -> str:
@@ -853,7 +897,7 @@ def format_scalar(s: Scalar) -> str:
     # text is the sign of its numerator
     if not s._tower:
         return _fraction_text(s._elt)
-    return _render_terms(s._terms())
+    return _render_terms(_flatten_terms(s._elt, len(s._tower), s._tower))
 
 
 def enclosure_decimal(enc: Enclosure, digits: int) -> str:

@@ -15,9 +15,11 @@ stages are read off the linear column and constant that the block stage
 yields, and one independent check, `verify_witness` of the composed witness
 against the input, runs before the witness is returned.  That check is the
 only place the canonicalizer evaluates the action (`SfWitness.apply`, a 3x3
-product: of integer matrices over cleared denominators when every entry is
-rational, of `Mat3`s lifted onto one tower otherwise); composing the stages
-(`SfWitness.then`) shares no code with it.
+product: of integer matrices over cleared denominators when every entry lies
+in a multiquadratic field, whose radicands are all rational, with integer
+coefficients of products of the roots when some entry is irrational; of
+`Mat3`s lifted onto one tower when a radicand is nested); composing the
+stages (`SfWitness.then`) shares no code with it.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ from .congruence2 import (
     reciprocal_equivalent,
 )
 from .matrix import DegreeError, Mat2, Mat3, StdFormMatrix, Vec2, sf_map
-from .scalar import Scalar, as_scalar, on_one_tower, sqrt_extend
+from .scalar import (ONE, Scalar, as_scalar, on_one_tower, radical_terms,
+                     rational_radicands, sqrt_extend)
 
 # The eleven classes: tag -> (canonical 2x2 block, linear column, constant,
 # algebra name, homogenized-algebra name), with the relation each one stands
@@ -127,45 +130,89 @@ class SfWitness(Value):
     def apply(self, n: StdFormMatrix) -> StdFormMatrix:
         """alpha * fold(P^T n P), by multiplying the embedded 3x3 matrices.
 
-        When every entry of P and n and alpha is rational, P and n are each
-        cleared of denominators once and P^T n P is a product of integer
-        matrices; each of the seven entries becomes a fraction only after the
-        fold, scaled by alpha over the cleared denominators.  Otherwise the
-        18 entries are first lifted onto one tower (`on_one_tower`), so that
-        the product of `Mat3`s merges no towers; entries that already share
-        one are used as they are."""
+        When every entry of P and n and alpha lies in a multiquadratic field
+        Q(sqrt(r_0), ..., sqrt(r_{k-1})) of rational r_j, P, n and alpha are
+        each cleared of denominators once and P^T n P is a product of integer
+        matrices: of ints when k = 0, else of `_Radicals` after one lift of
+        the 14 entries onto one tower (`on_one_tower`).  Each of the seven
+        entries becomes a Scalar only after the fold, scaled by alpha over
+        the cleared denominators.  Otherwise the 18 entries are lifted onto
+        one tower, so that the product of `Mat3`s merges no towers; entries
+        that already share one are used as they are."""
         p, (e, f), h, (u, v) = self.linear, self.translation, n.hom, n.lin
-        alpha = self.scale.as_fraction()
-        cp = alpha is not None and _cleared((p.a, p.b, e, p.c, p.d, f, Scalar.one()))
-        cn = cp and _cleared((h.a, h.b, u, h.c, h.d, v, n.const))
-        if cn:
-            (pi, dp), (ni, dn) = cp, cn
-            r = _int_product(_int_product(tuple(zip(*pi)), ni), pi)
-            num, den = alpha.numerator, alpha.denominator * dp * dp * dn
-            return StdFormMatrix(
-                Mat2(*(_ratio(num * x, den) for x in (r[0][0], r[0][1], r[1][0], r[1][1]))),
-                (_ratio(num * (r[0][2] + r[2][0]), den), _ratio(num * (r[1][2] + r[2][1]), den)),
-                _ratio(num * r[2][2], den),
-            )
-        pm, nm = self.embed(), n.embed()
-        entries = sum(pm.rows + nm.rows, ())
-        lifted = on_one_tower(entries)
-        if lifted is not entries:
-            pm = Mat3((lifted[0:3], lifted[3:6], lifted[6:9]))
-            nm = Mat3((lifted[9:12], lifted[12:15], lifted[15:18]))
-        return sf_map(pm.transpose() * nm * pm).scale(self.scale)
+        entries = (p.a, p.b, e, p.c, p.d, f, ONE, h.a, h.b, u, h.c, h.d, v, n.const, self.scale)
+        qs = [x.as_fraction() for x in entries]
+        if all(q is not None for q in qs):
+            (pi, dp), (ni, dn) = _cleared(qs[0:7]), _cleared(qs[7:14])
+            num, da, out = qs[14].numerator, qs[14].denominator, _ratio
+        elif rational_radicands(entries):
+            squares, qs, out = radical_terms(on_one_tower(entries))
+            (pv, dp), (nv, dn), ((num,), da) = (
+                _cleared_terms(g, squares) for g in (qs[0:7], qs[7:14], qs[14:]))
+            zero = _Radicals(squares)
+            pi, ni = ((x[0:3], x[3:6], (zero, zero, x[6])) for x in (pv, nv))
+        else:
+            pm, nm = self.embed(), n.embed()
+            entries = sum(pm.rows + nm.rows, ())
+            lifted = on_one_tower(entries)
+            if lifted is not entries:
+                pm = Mat3((lifted[0:3], lifted[3:6], lifted[6:9]))
+                nm = Mat3((lifted[9:12], lifted[12:15], lifted[15:18]))
+            return sf_map(pm.transpose() * nm * pm).scale(self.scale)
+        r = _int_product(_int_product(tuple(zip(*pi)), ni), pi)
+        den = da * dp * dp * dn
+        return StdFormMatrix(
+            Mat2(*(out(num * x, den) for x in (r[0][0], r[0][1], r[1][0], r[1][1]))),
+            (out(num * (r[0][2] + r[2][0]), den), out(num * (r[1][2] + r[2][1]), den)),
+            out(num * r[2][2], den),
+        )
 
 
-def _cleared(entries):
-    """The matrix [[a, b, e], [c, d, f], [0, 0, n]] of the rational Scalars
-    entries = (a, b, e, c, d, f, n) as integer rows over one positive
-    denominator: (rows, denominator), or None when an entry is not rational."""
-    qs = [x.as_fraction() for x in entries]
-    if any(q is None for q in qs):
-        return None
+def _cleared(qs):
+    """The matrix [[a, b, e], [c, d, f], [0, 0, n]] of the rationals
+    qs = (a, b, e, c, d, f, n) as integer rows over one positive
+    denominator: (rows, denominator)."""
     den = lcm(*(q.denominator for q in qs))
     a, b, e, c, d, f, n = (q.numerator * (den // q.denominator) for q in qs)
     return ((a, b, e), (c, d, f), (0, 0, n)), den
+
+
+def _cleared_terms(qs, squares):
+    """Values given as dicts of (numerator, denominator) coefficients, as
+    `_Radicals` over one positive denominator: (values, denominator)."""
+    den = lcm(*(d for q in qs for _, d in q.values()))
+    return [_Radicals(squares, {s: c * (den // d) for s, (c, d) in q.items()})
+            for q in qs], den
+
+
+class _Radicals(dict):
+    """An integer combination of the monomials rho_S = prod_{j in S} rho_j
+    by the bitmask S, squares[S] = rho_S^2 an integer.  It is never changed
+    once built, so a product with an empty operand is that operand, and a
+    sum with one is the other operand."""
+
+    __slots__ = ("squares",)
+
+    def __init__(self, squares, terms=()):
+        dict.__init__(self, terms)
+        self.squares = squares
+
+    def __add__(self, other):
+        if not (self and other):
+            return self or other
+        out = _Radicals(self.squares, self)
+        for s, c in other.items():
+            out[s] = out.get(s, 0) + c
+        return out
+
+    def __mul__(self, other):
+        if not (self and other):
+            return self and other
+        out, squares = _Radicals(self.squares), self.squares
+        for s, a in self.items():
+            for t, b in other.items():
+                out[s ^ t] = out.get(s ^ t, 0) + a * b * squares[s & t]
+        return out
 
 
 def _int_product(x, y):

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from functools import lru_cache
 from pathlib import Path
@@ -22,12 +23,16 @@ from quadalg.polyio import (
     witness_from_document,
 )
 from quadalg.sfcanon import verify_witness
-from quadalg.scalar import MAX_APPROX_DIGITS
+from quadalg.scalar import MAX_APPROX_DIGITS, rational_radicands
 from quadalg.algebra import sf_from_poly
+from quadalg.matrix import coeffs_from_matrix
 
-HELP_CASES = json.loads(
-    (Path(__file__).resolve().parent / "data" / "cli_golden_help.json").read_text()
-)
+DATA = Path(__file__).resolve().parent / "data"
+HELP_CASES = json.loads((DATA / "cli_golden_help.json").read_text())
+# the relations that `classify` answers in the tower goldens
+TOWER_RELATIONS = [case["argv"][1]
+                   for case in json.loads((DATA / "cli_golden_towers.json").read_text())
+                   if case["argv"][0] == "classify" and case["exit"] == 0]
 
 
 def run(capsys, *argv):
@@ -154,6 +159,37 @@ class TestVerify:
         rc, out, err = run(capsys, "verify", "xy - 2yx - 1", "--report", str(report),
                            "--format", "json")
         assert (rc, json.loads(out), err) == (0 if verified else 1, {"verified": verified}, "")
+
+    @pytest.mark.parametrize("relation", TOWER_RELATIONS)
+    def test_tower_witness(self, capsys, tmp_path, relation):
+        """The witness of a tower relation verifies, and with alpha doubled
+        it does not."""
+        rc, out, _ = run(capsys, "classify", relation, "--format", "json")
+        assert rc == 0
+        report = tmp_path / "report.json"
+        report.write_text(out)
+        assert run(capsys, "verify", relation, "--report", str(report)) == (
+            0, "witness verifies\n", "")
+        doc = json.loads(out)
+        doc["witness"]["alpha"] = f"2*({doc['witness']['alpha']})"
+        report.write_text(json.dumps(doc))
+        rc, out, err = run(capsys, "verify", relation, "--report", str(report))
+        assert (rc, out) == (1, "") and "witness does not verify" in err
+
+    def test_tower_witnesses_take_both_check_paths(self):
+        """Among the tower goldens' witnesses, some lie on towers whose
+        radicands are all rational and some over a nested radicand."""
+        paths = Counter()
+        for case in json.loads((DATA / "cli_golden_towers.json").read_text()):
+            if case["argv"][0] != "classify" or case["argv"][-1] != "json" or case["exit"]:
+                continue
+            doc = json.loads(case["stdout"])
+            w = witness_from_document(doc["witness"])
+            m = sf_from_poly(parse_poly(case["argv"][1]))
+            entries = (*w.linear.entries(), *w.translation, w.scale, *coeffs_from_matrix(m))
+            if any(x.tower_depth for x in entries):
+                paths[rational_radicands(entries)] += 1
+        assert paths[True] > 0 and paths[False] > 0, paths
 
     def test_bridge_report_has_no_witness(self, capsys, tmp_path):
         rc, out, _ = run(

@@ -17,7 +17,13 @@ given; the witness checker, which lifts its entries with it, must accept
 the witness of every such orbit sample and reject a wrong one.  On rational
 entries the checker multiplies integer matrices instead: it must equal the
 plain product on random rationals, large denominators and cancelling
-entries included, and build no Mat3.
+entries included, and build no Mat3.  On towers whose radicands are all
+rational (2, 3, 5, -1, -3, -4, 1/2, 3/4 and 6, at depth 1-3, with merges
+that find a root inside the tower) it multiplies integer combinations of
+products of roots: it must equal the plain product there too, irrational
+alpha included, build no Mat3, and reject a rescaled or perturbed witness
+without the canonicalizer's composition; only a check over a nested
+radicand, sqrt(1 + sqrt(2)), still multiplies Mat3s.
 """
 
 import operator
@@ -410,9 +416,8 @@ def refuse_merge(*args):
     raise AssertionError("a check on rational entries merged towers")
 
 
-def test_rational_check_does_no_extra_work():
-    """On rational entries the check is an integer product: it builds no
-    Mat3 and merges no tower, and it still rejects a wrong witness."""
+@contextmanager
+def counting_mat3():
     built = Counter()
     plain_init = Mat3.__init__
 
@@ -420,15 +425,110 @@ def test_rational_check_does_no_extra_work():
         built["Mat3"] += 1
         plain_init(self, rows)
 
+    with mock.patch.object(Mat3, "__init__", counted_init):
+        yield built
+
+
+def test_rational_check_does_no_extra_work():
+    """On rational entries the check is an integer product: it builds no
+    Mat3 and merges no tower, and it still rejects a wrong witness."""
     rng = random.Random(5)
     for tag in ("QWEYL", "VFORM", "X2_MINUS1"):
         m = canonical_matrix(CanonicalClass(tag, 3 if tag == "QWEYL" else None))
         sample, w = orbit_sample_with_witness(m, rng)
-        built.clear()
-        with mock.patch.object(Mat3, "__init__", counted_init), mock.patch.object(
+        with counting_mat3() as built, mock.patch.object(
             scalar, "_merge_towers", refuse_merge
         ):
             assert verify_witness(sample, m, w)
             assert not verify_witness(sample, m, rescaled(w, 2))
             assert not verify_witness(sample, m, perturbed(w))
         assert built["Mat3"] == 0
+
+
+# Towers whose radicands are all rational.  The check reads their entries
+# as integer combinations of products of roots.  Among the radicands, a
+# merge finds sqrt(6) inside Q(sqrt(2), sqrt(3)), sqrt(-4) inside Q(sqrt(-1)),
+# sqrt(1/2) inside Q(sqrt(2)), sqrt(3/4) inside Q(sqrt(3)) and sqrt(-3)
+# inside Q(sqrt(-1), sqrt(3)); three drawn radicands give depth 1-3.
+
+RATIONAL_RADICANDS = (2, 3, 5, -1, -3, -4, Fraction(1, 2), Fraction(3, 4), 6)
+
+
+@st.composite
+def multiquadratic_cases(draw):
+    """(M, witness): each entry is a + b s for a, b rational (0, 1, -1, small,
+    or with numerator and denominator up to 10**6) and s the root of one of
+    one to three drawn radicands or a product of two of them in either
+    order, so entries sit on differently ordered towers; alpha has the same
+    shape, so it is irrational when b is not 0.  P1 invertible."""
+    radicands = draw(st.lists(st.sampled_from(RATIONAL_RADICANDS), min_size=1,
+                              max_size=3, unique=True))
+    roots = [sqrt_extend(r) for r in radicands]
+    pool = roots + [g * h for g in roots for h in roots if g is not h]
+
+    def entry():
+        return draw(rational_entries) + draw(rational_entries) * draw(st.sampled_from(pool))
+
+    m = StdFormMatrix(Mat2(*(entry() for _ in range(4))), (entry(), entry()), entry())
+    while True:
+        linear = Mat2(*(entry() for _ in range(4)))
+        if not linear.det().is_zero():
+            break
+    alpha = entry()
+    assume(alpha)
+    return m, SfWitness(linear, (entry(), entry()), alpha)
+
+
+R2, R3, R6 = sqrt_extend(2), sqrt_extend(3), sqrt_extend(6)
+
+
+@settings(max_examples=60)
+@given(multiquadratic_cases())
+@example((
+    StdFormMatrix(Mat2(R6, 1 - R6, 0, Fraction(999_999, 1_000_000) * R2), (R3, 0), R6 - R2 * R3),
+    SfWitness(Mat2(R2, R3, Fraction(1, 999_983), 1), (R6 / 7, Fraction(-2, 999_999)), 1 + R3),
+))
+def test_multiquadratic_apply_matches_mat3_fold(case):
+    """The integer product over the monomials equals the plain product and
+    builds no Mat3; the witness back (its inverse) cancels the result to
+    m's entries, zeros included; and the check rejects wrong witnesses."""
+    m, w = case
+    entries = (*w.linear.entries(), *w.translation, w.scale, *coeffs_from_matrix(m))
+    assume(any(x.tower_depth for x in entries))
+    with counting_mat3() as built:
+        got = w.apply(m)
+    assert built["Mat3"] == 0
+    assert got == mat3_fold(m, w)
+    assert w.inverse().apply(got) == m
+    assume(any(coeffs_from_matrix(m)))
+    wrong = perturbed(w)
+    assume(mat3_fold(m, wrong) != got)
+    with composition_refused():
+        assert verify_witness(got, m, w)
+        assert not verify_witness(got, m, rescaled(w, 2))
+        assert not verify_witness(got, m, rescaled(w, -1))
+        assert not verify_witness(got, m, wrong)
+
+
+def test_only_a_nested_radicand_keeps_the_mat3_product():
+    """A check whose towers have rational radicands builds no Mat3 and
+    lifts its entries once; one over sqrt(1 + sqrt(2)) still multiplies
+    Mat3s.  Both accept the witness and reject it rescaled."""
+    rng = random.Random(6)
+    for q, nested in ((R2 * R3, False), (GENERATORS[3], True)):
+        m = canonical_matrix(CanonicalClass("QWEYL", q))
+        w = rescaled(orbit_sample_with_witness(m, rng)[1], q)
+        target = mat3_fold(m, w)
+        lifts = Counter()
+        lift = sfcanon.on_one_tower
+
+        def counted_lift(values):
+            lifts["on_one_tower"] += 1
+            return lift(values)
+
+        with counting_mat3() as built, mock.patch.object(sfcanon, "on_one_tower", counted_lift):
+            assert verify_witness(target, m, w)
+        assert lifts["on_one_tower"] == 1
+        assert (built["Mat3"] > 0) is nested
+        with composition_refused():
+            assert not verify_witness(target, m, rescaled(w, 2))
