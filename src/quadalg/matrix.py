@@ -10,7 +10,9 @@ linear entries into the top-right column, leaving the shape
      [ 0, 0, n ]]
 
 Changes of variables that fix the affine structure act on defining matrices
-by congruence followed by this fold (`sfcanon.SfWitness`).
+by congruence followed by this fold (`sfcanon.SfWitness`).  `Mat3`, `sf_map`,
+both `embed`s and `StdFormMatrix.scale` give it as the plain product, for a
+user's re-check and as the tests' reference; the program never calls them.
 """
 
 from __future__ import annotations

@@ -289,11 +289,7 @@ def _quotient(value, rhs):
 
 def _scalar(value: int | Fraction | Scalar) -> Scalar:
     """A parsed value as a Scalar; 0, 1 and -1 give the shared constants."""
-    if value.__class__ is Scalar:
-        return value
-    if value.denominator == 1:
-        return as_scalar(value.numerator)
-    return Scalar.from_fraction(value)
+    return value if value.__class__ is Scalar else Scalar.from_fraction(value)
 
 
 def parse_scalar(text: str) -> Scalar:

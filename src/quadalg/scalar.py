@@ -42,14 +42,15 @@ the other operand's tower like a value over a prefix of it, and every
 radicand, rational or not, multiplies through ``_mul``.
 
 The constants 0, 1 and -1 are three shared Scalars (``ZERO``, ``ONE`` and
-``MINUS_ONE``): ``Scalar.zero()``, ``Scalar.one()`` and every int operand of
--1, 0 or 1 give them, so the literal entries of matrices are shared.  Before
-any arithmetic, at every depth, the operators test whether an operand *is*
-ZERO or ONE and return the result that needs no arithmetic (``x * 0`` is
-ZERO, ``x * 1`` and ``x + 0`` are x, ``0 - x`` is -x); that result is
-normalised and equal to what the general path gives.  They never test an
-operand's *value* against 0 or 1: computed coefficients are rarely trivial,
-so such a test would be paid on nearly every op for nothing.
+``MINUS_ONE``): ``Scalar.zero()``, ``Scalar.one()``, ``Scalar.from_fraction``
+of a whole -1, 0 or 1 and every int operand of -1, 0 or 1 give them, so the
+literal entries of matrices are shared.  Before any arithmetic, at every
+depth, the operators test whether an operand *is* ZERO or ONE and return
+the result that needs no arithmetic (``x * 0`` is ZERO, ``x * 1`` and
+``x + 0`` are x, ``0 - x`` is -x); that result is normalised and equal to
+what the general path gives.  They never test an operand's *value* against
+0 or 1: computed coefficients are rarely trivial, so such a test would be
+paid on nearly every op for nothing.
 
 The leaves of the tower recursion are the exception.  Nested elements are
 sparse (``sqrt(2)*sqrt(3)`` at depth 2 has one nonzero leaf of four), so the
@@ -519,7 +520,12 @@ class Scalar(Value):
 
     @staticmethod
     def from_fraction(q: RationalLike) -> "Scalar":
-        return _normalised((), q if q.__class__ is Fraction else Fraction(q))
+        """q as a Scalar; a whole -1, 0 or 1 gives the shared constant."""
+        if q.__class__ is not Fraction:
+            q = Fraction(q)
+        if q.denominator == 1 and -1 <= q.numerator <= 1:
+            return _SHARED[q.numerator]
+        return _normalised((), q)
 
     @staticmethod
     def zero() -> "Scalar":
@@ -832,7 +838,7 @@ def radical_terms(values):
         while len(e) > 1:
             e = list(zip(e[0::2], e[1::2]))
         value = Scalar(tower, e[0])
-        return value if value._tower else _SHARED.get(value._elt, value)
+        return value if value._tower else Scalar.from_fraction(value._elt)
 
     terms = [_monomials(v._elt, len(v._tower), {}) for v in values]
     return squares, [{s: (c.numerator, c.denominator * dens[s]) for s, c in q.items()}

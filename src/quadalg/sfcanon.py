@@ -14,12 +14,9 @@ to the matrix one by one: canon2 gives the block stage unchecked, the later
 stages are read off the linear column and constant that the block stage
 yields, and one independent check, `verify_witness` of the composed witness
 against the input, runs before the witness is returned.  That check is the
-only place the canonicalizer evaluates the action (`SfWitness.apply`, a 3x3
-product: of integer matrices over cleared denominators when every entry lies
-in a multiquadratic field, whose radicands are all rational, with integer
-coefficients of products of the roots when some entry is irrational; of
-`Mat3`s lifted onto one tower when a radicand is nested); composing the
-stages (`SfWitness.then`) shares no code with it.
+only place the canonicalizer evaluates the action (`SfWitness.apply`, one
+3x3 product and one fold, over integers unless a radicand is nested);
+composing the stages (`SfWitness.then`) shares no code with it.
 """
 
 from __future__ import annotations
@@ -35,8 +32,8 @@ from .congruence2 import (
     canonical_mat2,
     reciprocal_equivalent,
 )
-from .matrix import DegreeError, Mat2, Mat3, StdFormMatrix, Vec2, sf_map
-from .scalar import (ONE, Scalar, as_scalar, on_one_tower, radical_terms,
+from .matrix import DegreeError, Mat2, Mat3, StdFormMatrix, Vec2
+from .scalar import (ONE, ZERO, Scalar, as_scalar, on_one_tower, radical_terms,
                      rational_radicands, sqrt_extend)
 
 # The eleven classes: tag -> (canonical 2x2 block, linear column, constant,
@@ -128,53 +125,52 @@ class SfWitness(Value):
         return Mat3(((p.a, p.b, e), (p.c, p.d, f), (0, 0, 1)))
 
     def apply(self, n: StdFormMatrix) -> StdFormMatrix:
-        """alpha * fold(P^T n P), by multiplying the embedded 3x3 matrices.
+        """alpha * fold(P^T n P), by one product of the embedded 3x3 matrices.
 
-        When every entry of P and n and alpha lies in a multiquadratic field
-        Q(sqrt(r_0), ..., sqrt(r_{k-1})) of rational r_j, P, n and alpha are
-        each cleared of denominators once and P^T n P is a product of integer
-        matrices: of ints when k = 0, else of `_Radicals` after one lift of
-        the 14 entries onto one tower (`on_one_tower`).  Each of the seven
-        entries becomes a Scalar only after the fold, scaled by alpha over
-        the cleared denominators.  Otherwise the 18 entries are lifted onto
-        one tower, so that the product of `Mat3`s merges no towers; entries
-        that already share one are used as they are."""
+        A reader gives the seven values of P, the seven of n, their zero and
+        `out`, which takes a folded entry to alpha times it as a Scalar.  All
+        15 entries rational: ints over cleared denominators.  Every radicand
+        rational (a multiquadratic field): `_Radicals` after one lift of the
+        15 entries onto one tower (`on_one_tower`), cleared the same way.  A
+        nested radicand: the 14 entries of P and n lifted onto one tower, so
+        that the product merges none, and alpha multiplied in on the right."""
         p, (e, f), h, (u, v) = self.linear, self.translation, n.hom, n.lin
         entries = (p.a, p.b, e, p.c, p.d, f, ONE, h.a, h.b, u, h.c, h.d, v, n.const, self.scale)
         qs = [x.as_fraction() for x in entries]
         if all(q is not None for q in qs):
-            (pi, dp), (ni, dn) = _cleared(qs[0:7]), _cleared(qs[7:14])
-            num, da, out = qs[14].numerator, qs[14].denominator, _ratio
+            (pv, dp), (nv, dn) = _cleared(qs[0:7]), _cleared(qs[7:14])
+            num, den, zero = qs[14].numerator, qs[14].denominator * dp * dp * dn, 0
+
+            def out(x):
+                return Scalar.from_fraction(Fraction(num * x, den))
         elif rational_radicands(entries):
-            squares, qs, out = radical_terms(on_one_tower(entries))
+            squares, qs, scalar = radical_terms(on_one_tower(entries))
             (pv, dp), (nv, dn), ((num,), da) = (
                 _cleared_terms(g, squares) for g in (qs[0:7], qs[7:14], qs[14:]))
-            zero = _Radicals(squares)
-            pi, ni = ((x[0:3], x[3:6], (zero, zero, x[6])) for x in (pv, nv))
+            den, zero = da * dp * dp * dn, _Radicals(squares)
+
+            def out(x):
+                return scalar(num * x, den)
         else:
-            pm, nm = self.embed(), n.embed()
-            entries = sum(pm.rows + nm.rows, ())
-            lifted = on_one_tower(entries)
-            if lifted is not entries:
-                pm = Mat3((lifted[0:3], lifted[3:6], lifted[6:9]))
-                nm = Mat3((lifted[9:12], lifted[12:15], lifted[15:18]))
-            return sf_map(pm.transpose() * nm * pm).scale(self.scale)
+            lifted, zero = on_one_tower(entries[0:14]), ZERO
+            pv, nv = lifted[0:7], lifted[7:14]
+
+            def out(x):
+                return x * self.scale
+        pi, ni = ((x[0:3], x[3:6], (zero, zero, x[6])) for x in (pv, nv))
         r = _int_product(_int_product(tuple(zip(*pi)), ni), pi)
-        den = da * dp * dp * dn
         return StdFormMatrix(
-            Mat2(*(out(num * x, den) for x in (r[0][0], r[0][1], r[1][0], r[1][1]))),
-            (out(num * (r[0][2] + r[2][0]), den), out(num * (r[1][2] + r[2][1]), den)),
-            out(num * r[2][2], den),
+            Mat2(*(out(x) for x in (r[0][0], r[0][1], r[1][0], r[1][1]))),
+            (out(r[0][2] + r[2][0]), out(r[1][2] + r[2][1])),
+            out(r[2][2]),
         )
 
 
 def _cleared(qs):
-    """The matrix [[a, b, e], [c, d, f], [0, 0, n]] of the rationals
-    qs = (a, b, e, c, d, f, n) as integer rows over one positive
-    denominator: (rows, denominator)."""
+    """The rationals qs as integers over one positive denominator:
+    (integers, denominator)."""
     den = lcm(*(q.denominator for q in qs))
-    a, b, e, c, d, f, n = (q.numerator * (den // q.denominator) for q in qs)
-    return ((a, b, e), (c, d, f), (0, 0, n)), den
+    return [q.numerator * (den // q.denominator) for q in qs], den
 
 
 def _cleared_terms(qs, squares):
@@ -216,17 +212,12 @@ class _Radicals(dict):
 
 
 def _int_product(x, y):
-    """The product of two 3x3 integer matrices given as rows."""
+    """The product of two 3x3 matrices given as rows: of ints, of
+    `_Radicals` or of Scalars over one tower."""
     cols = tuple(zip(*y))
     return tuple(
         tuple(r0 * c0 + r1 * c1 + r2 * c2 for c0, c1, c2 in cols) for r0, r1, r2 in x
     )
-
-
-def _ratio(num: int, den: int) -> Scalar:
-    """num / den as a Scalar; 0, 1 and -1 give the shared constants."""
-    q = Fraction(num, den)
-    return as_scalar(q.numerator) if q.denominator == 1 else Scalar.from_fraction(q)
 
 
 def scaling(gamma) -> SfWitness:
@@ -356,11 +347,9 @@ def sf_congruent(
     return witness is not None, witness
 
 
-def _rand_fraction(rng) -> int | Fraction:
-    """A small random rational; an int when it is whole, so that 0, 1 and -1
-    become the shared constants."""
-    q = Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2)))
-    return q.numerator if q.denominator == 1 else q
+def _rand_fraction(rng) -> Fraction:
+    """A small random rational."""
+    return Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2)))
 
 
 def orbit_sample_with_witness(
@@ -374,12 +363,7 @@ def orbit_sample_with_witness(
     if rng is None:
         return m, SfWitness.identity()
     while True:
-        lin = Mat2(
-            _rand_fraction(rng),
-            _rand_fraction(rng),
-            _rand_fraction(rng),
-            _rand_fraction(rng),
-        )
+        lin = Mat2(*(_rand_fraction(rng) for _ in range(4)))
         if not lin.det().is_zero():
             break
     translation = (_rand_fraction(rng), _rand_fraction(rng))

@@ -22,8 +22,9 @@ rational (2, 3, 5, -1, -3, -4, 1/2, 3/4 and 6, at depth 1-3, with merges
 that find a root inside the tower) it multiplies integer combinations of
 products of roots: it must equal the plain product there too, irrational
 alpha included, build no Mat3, and reject a rescaled or perturbed witness
-without the canonicalizer's composition; only a check over a nested
-radicand, sqrt(1 + sqrt(2)), still multiplies Mat3s.
+without the canonicalizer's composition.  A check over a nested radicand,
+sqrt(1 + sqrt(2)), multiplies Scalars lifted onto one tower and builds no
+Mat3 either, with alpha on another tower multiplied in after the fold.
 """
 
 import operator
@@ -222,11 +223,23 @@ def rescaled(w, factor):
     return SfWitness(w.linear, w.translation, w.scale * factor)
 
 
+NESTED = sqrt_extend(1 + ROOTS[0])
+
+
 @settings(max_examples=30)
 @given(congruence_cases())
+@example((
+    StdFormMatrix(Mat2(NESTED, 1, -1, NESTED * ROOTS[0]), (NESTED, 0), 1 - NESTED),
+    SfWitness(Mat2(1, NESTED, 0, 2), (Fraction(1, 2), NESTED), 1 + ROOTS[1]),
+))
 def test_apply_matches_mat3_fold(case):
+    """Also over the nested sqrt(1 + sqrt(2)) with alpha on another tower,
+    where alpha multiplies the folded product; a rescaled witness fails."""
     m, w = case
     assert w.apply(m) == mat3_fold(m, w)
+    assume(any(coeffs_from_matrix(m)))
+    with composition_refused():
+        assert not verify_witness(mat3_fold(m, w), m, rescaled(w, 2))
 
 
 def refuse(*args, **kwargs):
@@ -280,7 +293,7 @@ def test_checker_accepts_canonicalization_witnesses_without_composition():
 # in the order they were multiplied, so sqrt(2)*sqrt(3) and sqrt(3)*sqrt(2)
 # sit on the towers (2, 3) and (3, 2).
 
-GENERATORS = ROOTS + (sqrt_extend(1 + ROOTS[0]),)
+GENERATORS = ROOTS + (NESTED,)
 
 
 @st.composite
@@ -510,12 +523,12 @@ def test_multiquadratic_apply_matches_mat3_fold(case):
         assert not verify_witness(got, m, wrong)
 
 
-def test_only_a_nested_radicand_keeps_the_mat3_product():
-    """A check whose towers have rational radicands builds no Mat3 and
-    lifts its entries once; one over sqrt(1 + sqrt(2)) still multiplies
-    Mat3s.  Both accept the witness and reject it rescaled."""
+def test_every_tower_check_lifts_once_and_builds_no_mat3():
+    """A check over sqrt(2)*sqrt(3), whose radicands are rational, and one
+    over the nested sqrt(1 + sqrt(2)) each lift their entries once and
+    build no Mat3.  Both accept the witness and reject it rescaled."""
     rng = random.Random(6)
-    for q, nested in ((R2 * R3, False), (GENERATORS[3], True)):
+    for q in (R2 * R3, NESTED):
         m = canonical_matrix(CanonicalClass("QWEYL", q))
         w = rescaled(orbit_sample_with_witness(m, rng)[1], q)
         target = mat3_fold(m, w)
@@ -529,6 +542,6 @@ def test_only_a_nested_radicand_keeps_the_mat3_product():
         with counting_mat3() as built, mock.patch.object(sfcanon, "on_one_tower", counted_lift):
             assert verify_witness(target, m, w)
         assert lifts["on_one_tower"] == 1
-        assert (built["Mat3"] > 0) is nested
+        assert built["Mat3"] == 0
         with composition_refused():
             assert not verify_witness(target, m, rescaled(w, 2))

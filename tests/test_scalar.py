@@ -11,6 +11,9 @@ from hypothesis import assume, given, settings, strategies as st
 import quadalg.scalar as scalar_module
 from quadalg.scalar import (
     MAX_TOWER_DEPTH,
+    MINUS_ONE,
+    ONE,
+    ZERO,
     Scalar,
     ScalarError,
     TowerDepthError,
@@ -45,6 +48,10 @@ class TestRationalLayer:
         assert frac(3, 6) == Fraction(1, 2)
         assert frac(5) == 5
         assert frac(5) != 4
+        # a whole -1, 0 or 1 gives the shared constant
+        assert Scalar.from_fraction(Fraction(-2, 2)) is MINUS_ONE
+        assert Scalar.from_fraction(0) is ZERO
+        assert frac(3, 3) is ONE
 
     def test_field_ops(self):
         a, b = frac(2, 3), frac(5, 7)
