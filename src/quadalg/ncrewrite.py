@@ -35,6 +35,10 @@ class DegreeBoundError(ValueError):
     pass
 
 
+# Stack pops that one `reduce` call may make before it refuses the input.
+MAX_REWRITE_STEPS = 1_000_000
+
+
 def _check_word(w: Word) -> Word:
     for ch in w:
         if ch not in ALPHABET:
@@ -245,17 +249,26 @@ def system_from_relations(
 def reduce(p: NCPoly, sys: RewriteSystem, degree_bound: int) -> NCPoly:
     """Normal form: rewrite the leftmost redex of each word, exhaustively.
 
-    Rules never raise word degree, so the bound only guards the input size.
+    Rules never raise word degree, so the bound guards only the input words;
+    they are tested last first, the order in which the stack takes them.
+    Past MAX_REWRITE_STEPS pops of the work stack the call raises ValueError.
     """
     table = sys.rules
     out: dict[Word, Scalar] = {}
     stack = list(p.terms())
-    while stack:
-        word, coeff = stack.pop()
+    for word, _ in reversed(stack):
         if len(word) > degree_bound:
             raise DegreeBoundError(
                 f"word {word!r} exceeds the degree bound {degree_bound}"
             )
+    steps = MAX_REWRITE_STEPS
+    while stack:
+        if not steps:
+            raise ValueError(
+                f"rewriting needs more than {MAX_REWRITE_STEPS} steps (MAX_REWRITE_STEPS)"
+            )
+        steps -= 1
+        word, coeff = stack.pop()
         for i in range(len(word) - 1):
             rhs = table.get(word[i : i + 2])
             if rhs is not None:

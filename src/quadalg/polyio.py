@@ -53,7 +53,6 @@ __all__ = [
     "parse_json",
     "parse_poly",
     "parse_scalar",
-    "scalar_text",
     "witness_document",
     "witness_from_document",
 ]
@@ -203,7 +202,8 @@ class _Parser:
     # polynomial grammar: poly := [+-] term {(+|-) term}
     # Terms add into one dict in text order.  A word whose coefficients
     # cancel leaves the dict and comes back at its end, so the term order is
-    # that of a left-to-right NCPoly sum.
+    # that of a left-to-right NCPoly sum.  NCPoly makes each coefficient a
+    # Scalar.
     def poly(self) -> NCPoly:
         terms = {}
         sign = self.peek()[0]
@@ -221,7 +221,7 @@ class _Parser:
                 terms.pop(word, None)
             sign = self.peek()[0]
             if sign not in ("+", "-"):
-                return NCPoly({w: _scalar(c) for w, c in terms.items()})
+                return NCPoly(terms)
 
     def poly_term(self) -> tuple[str, int | Fraction | Scalar]:
         """(word, coefficient) of one term."""
@@ -287,11 +287,6 @@ def _quotient(value, rhs):
     return value / rhs
 
 
-def _scalar(value: int | Fraction | Scalar) -> Scalar:
-    """A parsed value as a Scalar; 0, 1 and -1 give the shared constants."""
-    return value if value.__class__ is Scalar else Scalar.from_fraction(value)
-
-
 def parse_scalar(text: str) -> Scalar:
     """Exact scalar from text: fractions, sqrt(...), sums and products."""
     p = _Parser(text)
@@ -299,7 +294,7 @@ def parse_scalar(text: str) -> Scalar:
     kind, _, col = p.peek()
     if kind != "end":
         raise PolySyntaxError("trailing input after scalar", col)
-    return _scalar(value)
+    return as_scalar(value)
 
 
 def parse_poly(text: str) -> NCPoly:
@@ -313,10 +308,6 @@ def parse_poly(text: str) -> NCPoly:
 
 
 # --- printing ---------------------------------------------------------------
-
-
-def scalar_text(s) -> str:
-    return format_scalar(as_scalar(s))
 
 
 def _word_text(word: str) -> str:
@@ -339,10 +330,10 @@ def format_poly(p: NCPoly) -> str:
     items = sorted(p.terms(), key=lambda item: (-len(item[0]), item[0]))
     pieces = []
     for word, coeff in items:
-        text = scalar_text(coeff)
+        text = format_scalar(coeff)
         negative = text.startswith("-")
         if negative:
-            text = scalar_text(-coeff)
+            text = format_scalar(-coeff)
         multi = (" + " in text) or (" - " in text)
         if word == "":
             body = f"({text})" if multi else text
@@ -390,7 +381,7 @@ _WITNESS_KEYS = ("P1", "P2", "alpha")
 
 
 def _document(keys, block: Mat2, pair, scalar) -> dict[str, object]:
-    a, b, c, d, e, f, s = map(scalar_text, (block.a, block.b, block.c, block.d, *pair, scalar))
+    a, b, c, d, e, f, s = map(format_scalar, (block.a, block.b, block.c, block.d, *pair, scalar))
     return dict(zip(keys, ([[a, b], [c, d]], [e, f], s)))
 
 
@@ -438,7 +429,7 @@ def canonicalization_report(m: StdFormMatrix) -> dict[str, object]:
     cls, canonical, w = sf_canonicalize(m)
     doc: dict[str, object] = {"class": cls.tag}
     if cls.q is not None:
-        doc["q"] = scalar_text(cls.q)
+        doc["q"] = format_scalar(cls.q)
     doc["canonical"] = matrix_document(canonical)
     doc["witness"] = witness_document(w)
     return doc
@@ -449,7 +440,7 @@ def classification_report(f: NCPoly) -> dict[str, object]:
     a = algebra_of_class(cls)
     doc: dict[str, object] = {"algebra": a.tag}
     if a.q is not None:
-        doc["q"] = scalar_text(a.q)
+        doc["q"] = format_scalar(a.q)
     doc["via_v"] = a.via_v
     doc["canonical_f"] = format_poly(poly_from_sf(canonical))
     doc["witness"] = witness_document(w)
@@ -476,7 +467,7 @@ def homogenize_report(f: NCPoly) -> dict[str, object]:
         "h_class": h.tag,
     }
     if h.q is not None:
-        doc["q"] = scalar_text(h.q)
+        doc["q"] = format_scalar(h.q)
     return doc
 
 

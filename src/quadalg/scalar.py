@@ -172,17 +172,27 @@ def _scale(x, fr, depth):
 # decimal enclosures (complex balls with exact rational data)
 
 
-class _Ball:
+class Enclosure(Value):
+    """Complex ball with exact rational data: the value's real part lies
+    within rad of re, and its imaginary part within rad of im."""
+
     __slots__ = ("re", "im", "rad")
 
     def __init__(self, re: Fraction, im: Fraction, rad: Fraction):
-        self.re = re
-        self.im = im
-        self.rad = rad
+        object.__setattr__(self, "re", re)
+        object.__setattr__(self, "im", im)
+        object.__setattr__(self, "rad", rad)
+
+    # the data are Fractions, so unlike the other value types it hashes
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def midpoint(self) -> tuple[Fraction, Fraction]:
+        return self.re, self.im
 
 
 def _ball_add(p, q):
-    return _Ball(p.re + q.re, p.im + q.im, p.rad + q.rad)
+    return Enclosure(p.re + q.re, p.im + q.im, p.rad + q.rad)
 
 
 def _ball_mul(p, q):
@@ -190,7 +200,7 @@ def _ball_mul(p, q):
     im = p.re * q.im + p.im * q.re
     mp = abs(p.re) + abs(p.im)
     mq = abs(q.re) + abs(q.im)
-    return _Ball(re, im, mp * q.rad + mq * p.rad + p.rad * q.rad)
+    return Enclosure(re, im, mp * q.rad + mq * p.rad + p.rad * q.rad)
 
 
 def _sqrt_frac(q: Fraction, digits: int) -> Fraction:
@@ -264,7 +274,7 @@ def _eval_ball(e, depth, tower, digits):
 
 def _elt_ball(e, depth, roots):
     if depth == 0:
-        return _Ball(e, Fraction(0), Fraction(0))
+        return Enclosure(e, Fraction(0), Fraction(0))
     a, b = e
     ba = _elt_ball(a, depth - 1, roots)
     bb = _elt_ball(b, depth - 1, roots)
@@ -334,7 +344,7 @@ def _principal_root_ball(tower, idx, digits):
                 sign = _half_plane(0, uim, delta)
             if sign:
                 break
-    return _Ball(sign * ure, sign * uim, delta)
+    return Enclosure(sign * ure, sign * uim, delta)
 
 
 def _canonical_sign(tower, elt) -> int:
@@ -479,27 +489,6 @@ def _merge_towers(ta, tb):
 
 # ---------------------------------------------------------------------------
 # public scalar type
-
-
-class Enclosure(Value):
-    """Rational rectangle guaranteed to contain a complex value."""
-
-    __slots__ = ("re_low", "re_high", "im_low", "im_high")
-
-    def __init__(
-        self, re_low: Fraction, re_high: Fraction, im_low: Fraction, im_high: Fraction
-    ):
-        object.__setattr__(self, "re_low", re_low)
-        object.__setattr__(self, "re_high", re_high)
-        object.__setattr__(self, "im_low", im_low)
-        object.__setattr__(self, "im_high", im_high)
-
-    # the corners are Fractions, so unlike the other value types it hashes
-    def __hash__(self):
-        return hash(self._key(self))
-
-    def midpoint(self) -> tuple[Fraction, Fraction]:
-        return (self.re_low + self.re_high) / 2, (self.im_low + self.im_high) / 2
 
 
 class Scalar(Value):
@@ -661,19 +650,14 @@ class Scalar(Value):
     # -- numerics
 
     def approx(self, digits: int = 30) -> Enclosure:
-        """Enclosure of width below 10**-digits in each coordinate."""
+        """Enclosure of width 2*rad below 10**-digits in each coordinate."""
         if digits > MAX_APPROX_DIGITS:
             raise ValueError("approx supports at most %d digits" % MAX_APPROX_DIGITS)
         bound = Fraction(1, 10 ** digits)
         for d in _ladder(digits + 5):
             ball = _eval_ball(self._elt, len(self._tower), self._tower, d)
             if 2 * ball.rad < bound:
-                return Enclosure(
-                    ball.re - ball.rad,
-                    ball.re + ball.rad,
-                    ball.im - ball.rad,
-                    ball.im + ball.rad,
-                )
+                return ball
 
     # -- printing
 

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import quadalg.ncrewrite as ncrewrite
 from quadalg.cli import _build_parser, main
 from quadalg.polyio import (
     available_systems,
@@ -268,6 +269,18 @@ class TestReduce:
         )
         assert rc == 1
         assert "error:" in err
+
+    def test_degree_bound_defaults_to_twelve(self, capsys):
+        assert run(capsys, "reduce", "--system", "u", "x^12")[0] == 0
+        rc, out, err = run(capsys, "reduce", "--system", "u", "x^13")
+        assert (rc, out) == (1, "")
+        assert err == f"error: word {'x' * 13!r} exceeds the degree bound 12\n"
+
+    def test_step_cap_is_a_domain_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(ncrewrite, "MAX_REWRITE_STEPS", 100)
+        rc, out, err = run(capsys, "reduce", "--system", "v", "xxxyyy")
+        assert (rc, out) == (1, "")
+        assert err == "error: rewriting needs more than 100 steps (MAX_REWRITE_STEPS)\n"
 
 
 class TestErrorsAndPlumbing:

@@ -311,10 +311,8 @@ def mixed_scalars(draw):
 
 
 def overlapping(x, y):
-    return (
-        x.re_low <= y.re_high and y.re_low <= x.re_high
-        and x.im_low <= y.im_high and y.im_low <= x.im_high
-    )
+    reach = x.rad + y.rad
+    return abs(x.re - y.re) <= reach and abs(x.im - y.im) <= reach
 
 
 @settings(max_examples=40)

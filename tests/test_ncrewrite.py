@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import quadalg.ncrewrite as ncrewrite
 from quadalg.ncrewrite import (
     DegreeBoundError,
     NCPoly,
@@ -172,6 +173,25 @@ class TestReduce:
     def test_degree_bound_enforced(self):
         with pytest.raises(DegreeBoundError):
             reduce(X * Y * X * Y * X, sys_u(), 4)
+
+    def test_degree_bound_names_the_last_input_word_over_it(self):
+        p = X * X * X * X * X + X * Y + Y * Y * Y * Y * Y + Y * X
+        with pytest.raises(DegreeBoundError, match="'yyyyy' exceeds the degree bound 4"):
+            reduce(p, sys_u(), 4)
+
+    def test_degree_bound_is_tested_before_any_step(self, monkeypatch):
+        monkeypatch.setattr(ncrewrite, "MAX_REWRITE_STEPS", 0)
+        with pytest.raises(DegreeBoundError):
+            reduce(X * Y * X * Y * X, sys_u(), 4)
+
+    def test_step_cap_counts_stack_pops(self, monkeypatch):
+        # xy -> yx + y: xy, then y and yx, are three pops
+        monkeypatch.setattr(ncrewrite, "MAX_REWRITE_STEPS", 3)
+        assert reduce(X * Y, sys_u(), 6) == Y * X + Y
+        monkeypatch.setattr(ncrewrite, "MAX_REWRITE_STEPS", 2)
+        with pytest.raises(ValueError, match="more than 2 steps") as refused:
+            reduce(X * Y, sys_u(), 6)
+        assert type(refused.value) is ValueError
 
     def test_idempotent(self):
         p = X * Y * Y - 3 * Y * X + X

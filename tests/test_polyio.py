@@ -24,13 +24,13 @@ from quadalg.polyio import (
     load_system,
     matrix_document,
     matrix_from_document,
+    parse_json,
     parse_poly,
     parse_scalar,
-    scalar_text,
     witness_document,
     witness_from_document,
 )
-from quadalg.scalar import MINUS_ONE, Scalar, as_scalar, sqrt_extend
+from quadalg.scalar import MINUS_ONE, Scalar, as_scalar, format_scalar, sqrt_extend
 from quadalg.sfcanon import SfWitness, sf_canonicalize, verify_witness
 from quadalg.algebra import ENVV_BRIDGE, sf_from_poly
 
@@ -171,6 +171,12 @@ class TestParseErrors:
             parse_poly("x + 2*" + "7" * 5000 + "*y")
         assert exc.value.position == 7
 
+    def test_json_integer_digit_cap(self):
+        longest = "-" + "7" * MAX_INT_DIGITS
+        assert parse_json(f"[{longest}]", "matrix") == [int(longest)]
+        with pytest.raises(ValueError, match="a JSON integer has more than 4300 digits"):
+            parse_json("[" + "7" * (MAX_INT_DIGITS + 1) + "]", "matrix")
+
     def test_non_ascii_digits(self):
         assert parse_scalar("\u0663") == 3  # ARABIC-INDIC DIGIT THREE
         with pytest.raises(PolySyntaxError, match="column 2"):
@@ -212,12 +218,12 @@ class TestParseScalar:
     )
     def test_round_trip_frozen_formats(self, text):
         value = parse_scalar(text)
-        assert scalar_text(value) == text
-        assert parse_scalar(scalar_text(value)) == value
+        assert format_scalar(value) == text
+        assert parse_scalar(format_scalar(value)) == value
 
     def test_round_trip_product_of_roots(self):
         value = sqrt_extend(sc(2)) * sqrt_extend(sc(3))
-        assert parse_scalar(scalar_text(value)) == value
+        assert parse_scalar(format_scalar(value)) == value
 
 
 class TestFormatPoly:

@@ -184,10 +184,10 @@ def test_scalar_agrees_with_the_decimal_referee(t, u):
         if zero is not None:
             assert s.is_zero() == zero and bool(s) != zero, (tree, s, z)
         enc = s.approx(30)
-        assert enc.re_high - enc.re_low < Fraction(1, 10 ** 30)
-        assert enc.im_high - enc.im_low < Fraction(1, 10 ** 30)
-        assert enc.re_low - SLACK <= Fraction(z[0]) <= enc.re_high + SLACK, (tree, s, z)
-        assert enc.im_low - SLACK <= Fraction(z[1]) <= enc.im_high + SLACK, (tree, s, z)
+        # each coordinate lies within rad of its center: width 2*rad
+        assert 2 * enc.rad < Fraction(1, 10 ** 30)
+        assert abs(Fraction(z[0]) - enc.re) <= enc.rad + SLACK, (tree, s, z)
+        assert abs(Fraction(z[1]) - enc.im) <= enc.rad + SLACK, (tree, s, z)
     for a, b in compared:
         if values[id(a)] is None or values[id(b)] is None:
             continue

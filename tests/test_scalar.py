@@ -94,11 +94,11 @@ class TestSquareRoots:
         i = sqrt_extend(frac(-1))
         assert i * i == -1
         enc = i.approx(20)
-        assert enc.im_low > 0
+        assert enc.im - enc.rad > 0
 
     def test_canonical_branch_positive(self):
         enc = sqrt_extend(frac(2)).approx(20)
-        assert enc.re_low > 0
+        assert enc.re - enc.rad > 0
 
     def test_nested_root_recognized_in_tower(self):
         # (1 + sqrt(2))^2 = 3 + 2 sqrt(2): the root is found without a new level
@@ -335,8 +335,8 @@ class TestEnclosures:
     def test_enclosure_width(self):
         r2 = sqrt_extend(frac(2))
         enc = r2.approx(50)
-        assert enc.re_high - enc.re_low < Fraction(1, 10 ** 50)
-        assert enc.im_low <= 0 <= enc.im_high
+        assert 2 * enc.rad < Fraction(1, 10 ** 50)
+        assert abs(enc.im) <= enc.rad
 
     def test_enclosure_contains_truth(self):
         # 1.41421356237309504880168872420969807856967187537694...
@@ -344,8 +344,8 @@ class TestEnclosures:
         enc = r2.approx(40)
         truth = Fraction(14142135623730950488016887242096980785696, 10 ** 40)
         slack = Fraction(1, 10 ** 39)
-        assert truth - slack <= enc.re_low <= truth + slack
-        assert truth - slack <= enc.re_high <= truth + slack
+        assert truth - slack <= enc.re - enc.rad <= truth + slack
+        assert truth - slack <= enc.re + enc.rad <= truth + slack
 
     def test_nonzero_scalars_exclude_zero(self):
         r2 = sqrt_extend(frac(2))
@@ -354,8 +354,8 @@ class TestEnclosures:
         assert not s.is_zero()
         # s is 1e-30 and real: the 100-digit enclosure lies right of zero
         enc = s.approx(100)
-        assert 0 < enc.re_low <= Fraction(1, 10 ** 30) <= enc.re_high
-        assert enc.im_low <= 0 <= enc.im_high
+        assert 0 < enc.re - enc.rad <= Fraction(1, 10 ** 30) <= enc.re + enc.rad
+        assert abs(enc.im) <= enc.rad
 
     def test_refinement_stops_at_the_precision_cap(self, monkeypatch):
         # sqrt(2) minus its 100-digit floor is about 1e-100: telling its sign
@@ -393,8 +393,8 @@ class TestEnclosures:
         z = (r2 + 1) * (r2 - 1) - 1
         assert z.is_zero()
         enc = z.approx(30)
-        assert enc.re_low <= 0 <= enc.re_high
-        assert enc.im_low <= 0 <= enc.im_high
+        assert abs(enc.re) <= enc.rad
+        assert abs(enc.im) <= enc.rad
 
 
 class TestFormatting:
@@ -435,7 +435,8 @@ def test_sqrt_squares_back(q):
     s = frac(q.numerator, q.denominator)
     r = sqrt_extend(s)
     assert r * r == s
-    assert r.approx(20).re_low >= 0
+    enc = r.approx(20)
+    assert enc.re - enc.rad >= 0
 
 
 @settings(max_examples=40, deadline=None)
@@ -444,7 +445,8 @@ def test_sqrt_negative_squares_back(q):
     s = frac(q.numerator, q.denominator)
     r = sqrt_extend(s)
     assert r * r == s
-    assert r.approx(20).im_low >= 0
+    enc = r.approx(20)
+    assert enc.im - enc.rad >= 0
 
 
 # Every tower root is the principal square root of its radicand: positive
@@ -464,9 +466,9 @@ def radicands(draw):
 
 
 def in_principal_half_plane(enc):
-    if enc.re_low > 0:
+    if enc.re - enc.rad > 0:
         return True
-    return enc.re_low <= 0 <= enc.re_high and enc.im_low > 0
+    return abs(enc.re) <= enc.rad and enc.im - enc.rad > 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -510,5 +512,6 @@ def test_branch_is_the_same_at_every_precision():
     eps = sqrt_extend(frac(2)) - Fraction(isqrt(2 * 10 ** 90), 10 ** 45)
     r = sqrt_extend(-1 - eps * i)
     assert r * r == -1 - eps * i
-    signs = {r.approx(digits).im_low > 0 for digits in (10, 40, 80, 150)}
+    balls = [r.approx(digits) for digits in (10, 40, 80, 150)]
+    signs = {enc.im - enc.rad > 0 for enc in balls}
     assert len(signs) == 1

@@ -14,7 +14,7 @@ from quadalg.algebra import AlgebraClass
 from quadalg.congruence2 import Canon2Label
 from quadalg.matrix import Mat2, Mat3, StdFormMatrix
 from quadalg.ncrewrite import NCPoly, RewriteSystem, orient
-from quadalg.scalar import Enclosure, _Ball, sqrt_extend
+from quadalg.scalar import Enclosure, sqrt_extend
 from quadalg.sfcanon import SfWitness
 
 X, Y = NCPoly.variable("x"), NCPoly.variable("y")
@@ -39,9 +39,9 @@ CASES = [
     (RewriteSystem, ("rules", "precedence"),
      lambda: RewriteSystem([orient(X * Y - Y * X, "y<x")], "y<x"),
      lambda: RewriteSystem([], "y<x")),
-    (Enclosure, ("re_low", "re_high", "im_low", "im_high"),
-     lambda: Enclosure(Fraction(1), Fraction(2), Fraction(0), Fraction(0)),
-     lambda: Enclosure(Fraction(1), Fraction(3), Fraction(0), Fraction(0))),
+    (Enclosure, ("re", "im", "rad"),
+     lambda: Enclosure(Fraction(1), Fraction(0), Fraction(1, 10)),
+     lambda: Enclosure(Fraction(1), Fraction(0), Fraction(1, 20))),
     (SfWitness, ("linear", "translation", "scale"),
      lambda: SfWitness(Mat2(1, 1, 0, 1), (R2, 0), R2),
      lambda: SfWitness(Mat2(1, 1, 0, 1), (R2, 0), -R2)),
@@ -74,7 +74,7 @@ def test_equality_is_field_wise(cls, fields, make, other):
 @pytest.mark.parametrize("cls, fields, make, other", CASES, ids=IDS)
 def test_hashing(cls, fields, make, other):
     if cls is Enclosure:
-        # rational corners: equal enclosures hash alike
+        # rational data: equal enclosures hash alike
         assert hash(make()) == hash(make())
         return
     assert cls.__hash__ is None
@@ -124,14 +124,6 @@ def test_every_value_class_declares_slots():
     values = [(name, cls) for name, cls in package_classes() if issubclass(cls, Value)]
     offenders = [name for name, cls in values if "__slots__" not in vars(cls)]
     assert len(values) > 10 and not offenders
-
-
-def test_ball_is_a_mutable_record():
-    ball = _Ball(Fraction(1), Fraction(0), Fraction(1, 10))
-    ball.rad = Fraction(0)
-    assert ball.rad == 0
-    with pytest.raises(TypeError):
-        _Ball(Fraction(1), Fraction(0), rad=Fraction(0), bogus=1)
 
 
 def test_reprs_name_the_fields():
