@@ -4,7 +4,8 @@
     python scripts/unreached.py
 
 The traffic is replayed in this process under `sys.setprofile`: every saved
-CLI call of `tests/data/cli_golden*.json` (through `quadalg.cli.main`),
+CLI call of `tests/data/cli_golden*.json` (through `quadalg.cli.main`, with
+`tests/data` as the working directory, as `tests/test_golden.py` runs them),
 `scripts/classify_table.py`, and the first 400 items of each workload in
 `bench/workloads.py` (seed 1), each run and graded as the benchmark does
 (an op that raises is a refusal and is not graded; what it entered still
@@ -18,6 +19,7 @@ import ast
 import contextlib
 import io
 import json
+import os
 import runpy
 import sys
 from pathlib import Path
@@ -55,11 +57,17 @@ def defs_by_start():
 def replay():
     from quadalg.cli import main
 
+    data = ROOT / "tests" / "data"
     sink = io.StringIO()
     with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-        for path in sorted((ROOT / "tests" / "data").glob("cli_golden*.json")):
-            for case in json.loads(path.read_text()):
-                main(list(case["argv"]))
+        cwd = os.getcwd()
+        os.chdir(data)  # report and input paths in the cases name files there
+        try:
+            for path in sorted(data.glob("cli_golden*.json")):
+                for case in json.loads(path.read_text()):
+                    main(list(case["argv"]))
+        finally:
+            os.chdir(cwd)
         table = runpy.run_path(str(ROOT / "scripts" / "classify_table.py"), run_name="table")
         table["main"]()
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
+from itertools import chain
 
 from ._value import Value
 from .scalar import Scalar, as_scalar
@@ -98,13 +99,7 @@ class NCPoly(Value):
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self._terms)
-        for w, c in other._terms.items():
-            if w in out:
-                out[w] = out[w] + c
-            else:
-                out[w] = c
-        return NCPoly(out)
+        return _sum_terms(chain(self._terms.items(), other._terms.items()))
 
     __radd__ = __add__
 
@@ -125,16 +120,9 @@ class NCPoly(Value):
             s = as_scalar(other)
             return NCPoly({w: c * s for w, c in self._terms.items()})
         if isinstance(other, NCPoly):
-            out: dict[Word, Scalar] = {}
-            for w1, c1 in self._terms.items():
-                for w2, c2 in other._terms.items():
-                    w = w1 + w2
-                    c = c1 * c2
-                    if w in out:
-                        out[w] = out[w] + c
-                    else:
-                        out[w] = c
-            return NCPoly(out)
+            return _sum_terms((w1 + w2, c1 * c2)
+                              for w1, c1 in self._terms.items()
+                              for w2, c2 in other._terms.items())
         return NotImplemented
 
     def __rmul__(self, other):
@@ -153,6 +141,15 @@ class NCPoly(Value):
             return "NCPoly(0)"
         parts = [f"{c}*{w or '1'}" for w, c in sorted(self._terms.items())]
         return "NCPoly(" + " + ".join(parts) + ")"
+
+
+def _sum_terms(pairs: Iterable[tuple[Word, Scalar]]) -> NCPoly:
+    """The polynomial of (word, coefficient) pairs, like terms summed in the
+    order their words first occur."""
+    out: dict[Word, Scalar] = {}
+    for w, c in pairs:
+        out[w] = out[w] + c if w in out else c
+    return NCPoly(out)
 
 
 def _as_poly(x) -> NCPoly | type(NotImplemented):

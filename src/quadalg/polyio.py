@@ -13,8 +13,11 @@ scalar, and one codec (`_document`, `_from_document`) writes and reads both,
 under the names (homogeneous, linear, constant) for a matrix and (P1, P2,
 alpha) for a witness.  Reading checks the block, then the pair, then the
 scalar, each for existence, shape and scalar-text entries in that order, and
-raises ValueError naming the entry that is wrong.  Reports bundle the
-canonical data with the witness that produced it.
+raises ValueError.  A missing entry, a bad shape or an entry that is not a
+string names the entry; scalar text that does not parse gives the parser's
+own message, whose column counts within that entry's text and which names
+no entry.  Reports bundle the canonical data with the witness that produced
+it.
 
 Fixture systems are JSON files in the package directory on disk
 (data/systems), listed with os.listdir and read with open.
@@ -38,24 +41,6 @@ from .matrix import Mat2, StdFormMatrix
 from .ncrewrite import NCPoly, RewriteSystem, system_from_relations
 from .scalar import Scalar, as_scalar, format_scalar, sqrt_extend
 from .sfcanon import SfWitness, sf_canonicalize
-
-__all__ = [
-    "PolySyntaxError",
-    "available_systems",
-    "canonicalization_report",
-    "classification_report",
-    "congruence_report",
-    "format_poly",
-    "homogenize_report",
-    "load_system",
-    "matrix_document",
-    "matrix_from_document",
-    "parse_json",
-    "parse_poly",
-    "parse_scalar",
-    "witness_document",
-    "witness_from_document",
-]
 
 
 # Input bounds: deeper nesting, larger powers or longer integers are refused

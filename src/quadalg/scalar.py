@@ -187,9 +187,6 @@ class Enclosure(Value):
     def __hash__(self):
         return hash(self._key(self))
 
-    def midpoint(self) -> tuple[Fraction, Fraction]:
-        return self.re, self.im
-
 
 def _ball_add(p, q):
     return Enclosure(p.re + q.re, p.im + q.im, p.rad + q.rad)
@@ -226,10 +223,7 @@ def _csqrt(re: Fraction, im: Fraction, digits: int):
         if a == 0:
             return Fraction(0), Fraction(0)
         return a, im / (2 * a)
-    h = (r - re) / 2
-    if h <= 0:
-        return Fraction(0), Fraction(0)
-    bm = _sqrt_frac(h, digits)
+    bm = _sqrt_frac((r - re) / 2, digits)  # positive, as r >= 0 > re
     if bm == 0:
         return Fraction(0), Fraction(0)
     b = bm if im > 0 else -bm
@@ -892,7 +886,7 @@ def format_scalar(s: Scalar) -> str:
 
 def enclosure_decimal(enc: Enclosure, digits: int) -> str:
     """Approximate decimal rendering of an enclosure midpoint, marked inexact."""
-    re, im = enc.midpoint()
+    re, im = enc.re, enc.im
 
     def dec(q: Fraction) -> str:
         scaled = round(q * 10 ** digits)

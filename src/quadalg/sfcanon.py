@@ -357,11 +357,9 @@ def orbit_sample_with_witness(
 ) -> tuple[StdFormMatrix, SfWitness]:
     """Random equivalent matrix plus the witness that generated it.
 
-    rng is a random.Random, or None for m itself with the identity witness.
-    It stays unannotated so that the module never imports random.
+    rng is a random.Random.  It stays unannotated so that the module never
+    imports random.
     """
-    if rng is None:
-        return m, SfWitness.identity()
     while True:
         lin = Mat2(*(_rand_fraction(rng) for _ in range(4)))
         if not lin.det().is_zero():
@@ -376,8 +374,5 @@ def orbit_sample_with_witness(
 
 
 def orbit_sample(m: StdFormMatrix, rng) -> StdFormMatrix:
-    """Random member of the equivalence class of m (m itself when rng is None).
-
-    rng is a random.Random or None, as for orbit_sample_with_witness.
-    """
+    """Random member of the equivalence class of m; rng is a random.Random."""
     return orbit_sample_with_witness(m, rng)[0]

@@ -1,6 +1,6 @@
 """Acceptance gate: one check per shipped guarantee, one PASS/FAIL line each.
 
-Run `python3 -m pytest tests/test_acceptance.py -s -q` (or scripts/run_acceptance.py)
+Run `python3 -m pytest tests/test_acceptance.py -s -q`
 to see the per-criterion lines; plain pytest shows them only on failure.
 """
 

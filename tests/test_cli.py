@@ -29,7 +29,6 @@ from quadalg.algebra import sf_from_poly
 from quadalg.matrix import coeffs_from_matrix
 
 DATA = Path(__file__).resolve().parent / "data"
-HELP_CASES = json.loads((DATA / "cli_golden_help.json").read_text())
 # the relations that `classify` answers in the tower goldens
 TOWER_RELATIONS = [case["argv"][1]
                    for case in json.loads((DATA / "cli_golden_towers.json").read_text())
@@ -348,10 +347,8 @@ class TestErrorsAndPlumbing:
 
 
 class TestParser:
-    """`tests/data/cli_golden_help.json` holds `--help` for the program and
-    each subcommand and a set of usage errors (argv, exit code, stdout,
-    stderr), saved at COLUMNS=80 from the code before the parser stopped
-    building a help formatter for every argument."""
+    """The help and usage texts are pinned in `tests/data/cli_golden_help.json`
+    and replayed by `tests/test_golden.py`."""
 
     def test_an_answer_builds_no_help_formatter(self, capsys, monkeypatch):
         def refuse(self, *args, **kwargs):
@@ -361,12 +358,6 @@ class TestParser:
         _build_parser()
         rc, out, _ = run(capsys, "classify", "xy - yx")
         assert rc == 0 and out.startswith("algebra: OQ\n")
-
-    @pytest.mark.parametrize("case", HELP_CASES,
-                             ids=[" ".join(c["argv"]) or "(none)" for c in HELP_CASES])
-    def test_help_and_usage_text_are_unchanged(self, capsys, monkeypatch, case):
-        monkeypatch.setenv("COLUMNS", "80")
-        assert run(capsys, *case["argv"]) == (case["exit"], case["stdout"], case["stderr"])
 
 
 class TestBoundaryInputs:

@@ -100,6 +100,18 @@ class TestSquareRoots:
         enc = sqrt_extend(frac(2)).approx(20)
         assert enc.re - enc.rad > 0
 
+    @pytest.mark.parametrize("re, im", [(0, 1), (1, 1), (1, -1), (-1, 1), (-1, -1)],
+                             ids=["i", "1+i", "1-i", "-1+i", "-1-i"])
+    def test_root_of_a_tiny_radicand_is_principal(self, re, im):
+        # at 1e-200 the first precisions of the ladder round the radicand's
+        # modulus or the parts of its root to 0 (each return of 0 in
+        # `_csqrt`), and the root's ball must be refined past them
+        s = (re + im * sqrt_extend(frac(-1))) * frac(1, 10 ** 200)
+        r = sqrt_extend(s)
+        assert r * r == s
+        enc = r.approx(150)
+        assert enc.re - enc.rad > 0
+
     def test_nested_root_recognized_in_tower(self):
         # (1 + sqrt(2))^2 = 3 + 2 sqrt(2): the root is found without a new level
         r2 = sqrt_extend(frac(2))

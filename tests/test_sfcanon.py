@@ -266,12 +266,6 @@ class TestSfCongruent:
 
 
 class TestOrbitSample:
-    def test_none_randomness_returns_input(self):
-        m = matrix_from_coeffs((1, 2, 3, 4, 5, 6, 7))
-        assert orbit_sample(m, None) == m
-        out, w = orbit_sample_with_witness(m, None)
-        assert out == m and w == SfWitness.identity()
-
     def test_samples_stay_in_class(self):
         rng = random.Random(11)
         m = matrix_from_coeffs((0, 1, -2, 0, 3, 1, -5))
