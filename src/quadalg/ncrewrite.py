@@ -246,14 +246,22 @@ def system_from_relations(
 def reduce(p: NCPoly, sys: RewriteSystem, degree_bound: int) -> NCPoly:
     """Normal form: rewrite the leftmost redex of each word, exhaustively.
 
+    Each stack entry carries the index where its leftmost-redex search
+    starts; no redex starts left of it.  Input words start at 0.  A rewrite
+    at position i keeps the letters left of i, and no pair among them is a
+    redex, so the words it pushes start at max(i - 1, 0), the first pair
+    that the rewrite can have made.  The search therefore finds the same
+    redex as a scan from the first letter, and the normal form and its term
+    order are those of that scan.
+
     Rules never raise word degree, so the bound guards only the input words;
     they are tested last first, the order in which the stack takes them.
     Past MAX_REWRITE_STEPS pops of the work stack the call raises ValueError.
     """
     table = sys.rules
     out: dict[Word, Scalar] = {}
-    stack = list(p.terms())
-    for word, _ in reversed(stack):
+    stack = [(word, coeff, 0) for word, coeff in p.terms()]
+    for word, _, _ in reversed(stack):
         if len(word) > degree_bound:
             raise DegreeBoundError(
                 f"word {word!r} exceeds the degree bound {degree_bound}"
@@ -265,13 +273,14 @@ def reduce(p: NCPoly, sys: RewriteSystem, degree_bound: int) -> NCPoly:
                 f"rewriting needs more than {MAX_REWRITE_STEPS} steps (MAX_REWRITE_STEPS)"
             )
         steps -= 1
-        word, coeff = stack.pop()
-        for i in range(len(word) - 1):
+        word, coeff, start = stack.pop()
+        for i in range(start, len(word) - 1):
             rhs = table.get(word[i : i + 2])
             if rhs is not None:
                 pre, post = word[:i], word[i + 2 :]
+                resume = max(i - 1, 0)
                 for w2, c2 in rhs.terms():
-                    stack.append((pre + w2 + post, coeff * c2))
+                    stack.append((pre + w2 + post, coeff * c2, resume))
                 break
         else:
             if word in out:

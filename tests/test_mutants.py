@@ -1,0 +1,19 @@
+"""The committed mutant list of `scripts/mutants.py` stays applicable: every
+entry's old text occurs exactly once in its file at this revision, its new
+text differs, and its test selection exists.  No mutant is run here; run
+`python3 scripts/mutants.py` for the verdicts."""
+
+import runpy
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+MUTANTS = runpy.run_path(str(ROOT / "scripts" / "mutants.py"), run_name="mutants")
+
+
+@pytest.mark.parametrize("mutant", MUTANTS["MUTANTS"], ids=lambda m: m.name)
+def test_old_text_occurs_once(mutant):
+    assert MUTANTS["source"](mutant).read_text().count(mutant.old) == 1
+    assert mutant.new != mutant.old
+    assert all((ROOT / path).is_file() for path in mutant.tests)

@@ -19,6 +19,7 @@ from quadalg.ncrewrite import (
     substitute,
     system_from_relations,
 )
+from quadalg.polyio import available_systems, load_system, parse_poly
 from quadalg.scalar import as_scalar
 
 X = NCPoly.variable("x")
@@ -303,3 +304,48 @@ def test_reduce_linear_property(t1, t2, a, b):
     lhs = reduce(p * a + q * b, sys, 8)
     rhs = reduce(p, sys, 8) * a + reduce(q, sys, 8) * b
     assert lhs == rhs
+
+
+def leftmost_reference(p, sys):
+    """The plain reducer that `reduce` must agree with: pop a word, scan it
+    from its first letter for the leftmost redex and push each term of the
+    rewrite in order; sum the words that have no redex.  No step cap."""
+    out = {}
+    stack = list(p.terms())
+    while stack:
+        word, coeff = stack.pop()
+        for i in range(len(word) - 1):
+            rhs = sys.rules.get(word[i : i + 2])
+            if rhs is not None:
+                for w2, c2 in rhs.terms():
+                    stack.append((word[:i] + w2 + word[i + 2 :], coeff * c2))
+                break
+        else:
+            out[word] = out[word] + coeff if word in out else coeff
+    return NCPoly(out)
+
+
+# each shipped system, with the longest word drawn over its letters; one
+# system whose rule carries a tower coefficient
+REFERENCE_SYSTEMS = {
+    name: (load_system(name)[0], {"u": 9, "v": 6}.get(name, 10))
+    for name in available_systems()
+}
+REFERENCE_SYSTEMS["tower"] = (
+    system_from_relations([parse_poly("yx - sqrt(2)*xy + y")], "y<x"), 7
+)
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_SYSTEMS))
+@settings(max_examples=100)
+@given(data=st.data())
+def test_reduce_matches_the_leftmost_reference(name, data):
+    # words alone and sums of up to four words; equal term lists, order included
+    sys, longest = REFERENCE_SYSTEMS[name]
+    word = st.text(alphabet="".join(sys.precedence), max_size=longest)
+    terms = data.draw(st.one_of(
+        word.map(lambda w: {w: 1}),
+        st.dictionaries(word, st.integers(min_value=-3, max_value=3), min_size=1, max_size=4),
+    ))
+    p = NCPoly(terms)
+    assert list(reduce(p, sys, longest).terms()) == list(leftmost_reference(p, sys).terms())

@@ -12,8 +12,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 # dataclasses pulls in inspect (and ast, dis, tokenize); importlib.resources
 # pulls in zipfile and tempfile (and shutil, bz2, lzma); random is needed only
-# by annotations, and os.path and open read the fixtures without pathlib (on
-# 3.11 the interpreter has loaded both random and pathlib before the probe)
+# by annotations, and os.path and open read the fixtures without pathlib
 HEAVY = ("dataclasses", "typing", "importlib.resources", "inspect", "zipfile", "tempfile",
          "random", "pathlib")
 
@@ -26,8 +25,10 @@ print(json.dumps(sorted(set(sys.modules) - before)))
 
 
 def test_import_loads_no_heavy_stdlib_module():
+    # -S: a .pth hook that site runs can import any of HEAVY before the probe
+    # looks, and then the probe cannot see quadalg import it
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-c", PROBE], env=env,
+    proc = subprocess.run([sys.executable, "-S", "-c", PROBE], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
     added = set(json.loads(proc.stdout))
     assert "quadalg.cli" in added
