@@ -5,12 +5,12 @@
 
 Each entry of `MUTANTS` names a file under src/quadalg, the exact text to
 replace (it must occur there exactly once), the text to put in its place,
-and the tests to run.  For each entry the script copies src/, tests/ and
-pyproject.toml to a temporary directory, applies that one edit, and runs
-`python -m pytest -q -x` on the selection there, with PYTHONPATH set to the
-copy's src.  It prints `killed` when the tests fail, `survived` when they
-pass and `error` when pytest ends for another reason (collection error, no
-tests), then the counts.  A survivor is a gap in the tests: report it, do
+and the tests to run (files or pytest node ids).  For each entry the script
+copies src/, tests/ and pyproject.toml to a temporary directory, applies
+that one edit, and runs `python -m pytest -q -x` on the selection there,
+with PYTHONPATH set to the copy's src.  It prints `killed` when the tests
+fail, `survived` when they pass and `error` when pytest ends for another
+reason (collection error, no tests), then the counts.  A survivor is a gap in the tests: report it, do
 not delete its entry.  The repository is not changed.  Exit status 0 when
 every mutant is killed, 1 otherwise.
 """
@@ -34,6 +34,9 @@ Mutant = namedtuple("Mutant", "name path old new tests")
 # kernel by the decimal referee
 CHECK = ("tests/test_fastpaths.py", "tests/test_op_counts.py")
 KERNEL = ("tests/test_referee.py", "tests/test_fastpaths.py", "tests/test_scalar.py")
+# composition and inversion of witnesses, pinned by the group laws and by
+# the canonicalizer's own check of the witnesses it composes
+GROUP = ("tests/test_matrix.py", "tests/test_sfcanon.py")
 
 MUTANTS = (
     Mutant("quotient-int-int-true-division", "polyio.py",
@@ -71,6 +74,21 @@ MUTANTS = (
            "            return sign", "            return -sign", KERNEL),
     Mutant("reduce-resumes-at-redex", "ncrewrite.py",
            "resume = max(i - 1, 0)", "resume = i", ("tests/test_ncrewrite.py",)),
+    Mutant("witness-skips-det-test", "sfcanon.py",
+           "if linear.det().is_zero():", "if False:", ("tests/test_matrix.py",)),
+    Mutant("witness-skips-det-test-cli", "sfcanon.py",
+           "if linear.det().is_zero():", "if False:",
+           ("tests/test_cli.py::TestBoundaryInputs::test_degenerate_witness_is_refused"
+            "[singular-P1]",)),
+    Mutant("inverse-keeps-translation-sign", "sfcanon.py",
+           "_witness(inv, (-t[0], -t[1]),", "_witness(inv, t,", GROUP),
+    Mutant("then-keeps-own-scale", "sfcanon.py",
+           "self.scale * other.scale,", "self.scale,", GROUP),
+    Mutant("canon2-orientation-test-negated", "congruence2.py",
+           "if d * p / w != sigma.inverse():", "if d * p / w == sigma.inverse():",
+           ("tests/test_congruence2.py", "tests/test_sfcanon.py")),
+    Mutant("half-plane-imaginary-sign-flipped", "scalar.py",
+           "if im - rad > 0:\n        return 1", "if im - rad > 0:\n        return -1", KERNEL),
 )
 
 

@@ -83,7 +83,11 @@ class SfWitness(Value):
     Canonicalization stages compose with `then`, and a comparison of two
     canonicalizations goes through `inverse`; `apply` is the one evaluation
     of the action, and `verify_witness` the one caller of it in the
-    canonicalizer.
+    canonicalizer.  The constructor tests that P1 is invertible and alpha
+    nonzero.  `then`, `inverse`, `scaling` and `_shift` build their result
+    with `_witness`, which skips both tests: the witnesses form a group, so
+    a product or inverse of valid witnesses is valid, `Mat2.inverse` raises
+    on a singular matrix, `scaling` refuses gamma = 0 and a shift has P1 = I.
     """
 
     __slots__ = ("linear", "translation", "scale")
@@ -109,7 +113,7 @@ class SfWitness(Value):
         Its P is the product of the two embeddings, self's first."""
         lin = self.linear * other.linear
         t = self.linear.apply(other.translation)
-        return SfWitness(
+        return _witness(
             lin,
             (t[0] + self.translation[0], t[1] + self.translation[1]),
             self.scale * other.scale,
@@ -118,7 +122,7 @@ class SfWitness(Value):
     def inverse(self) -> "SfWitness":
         inv = self.linear.inverse()
         t = inv.apply(self.translation)
-        return SfWitness(inv, (-t[0], -t[1]), self.scale.inverse())
+        return _witness(inv, (-t[0], -t[1]), self.scale.inverse())
 
     def embed(self) -> Mat3:
         p, (e, f) = self.linear, self.translation
@@ -164,6 +168,23 @@ class SfWitness(Value):
             (out(r[0][2] + r[2][0]), out(r[1][2] + r[2][1])),
             out(r[2][2]),
         )
+
+
+_new_witness = object.__new__
+_set_linear = SfWitness.linear.__set__
+_set_translation = SfWitness.translation.__set__
+_set_scale = SfWitness.scale.__set__
+
+
+def _witness(linear: Mat2, translation: Vec2, scale: Scalar) -> SfWitness:
+    """A witness from parts known to be valid: P1 invertible, a pair of
+    Scalars and a nonzero Scalar.  Sets the slots without SfWitness.__init__
+    and its determinant test."""
+    w = _new_witness(SfWitness)
+    _set_linear(w, linear)
+    _set_translation(w, translation)
+    _set_scale(w, scale)
+    return w
 
 
 def _cleared(qs):
@@ -226,11 +247,11 @@ def scaling(gamma) -> SfWitness:
     gamma = as_scalar(gamma)
     if gamma.is_zero():
         raise ValueError("affine substitution needs an invertible linear part")
-    return SfWitness(Mat2(gamma, 0, 0, gamma), scale=(gamma * gamma).inverse())
+    return _witness(Mat2(gamma, 0, 0, gamma), (ZERO, ZERO), (gamma * gamma).inverse())
 
 
 def _shift(e, f) -> SfWitness:
-    return SfWitness(Mat2.identity(), (e, f))
+    return _witness(Mat2.identity(), (as_scalar(e), as_scalar(f)), ONE)
 
 
 def verify_witness(m: StdFormMatrix, n: StdFormMatrix, w: SfWitness) -> bool:

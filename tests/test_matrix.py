@@ -16,6 +16,8 @@ from quadalg.matrix import (
 from quadalg.scalar import Scalar, as_scalar, sqrt_extend
 from quadalg.sfcanon import SfWitness
 
+from test_fastpaths import congruence_cases
+
 ints = st.integers(min_value=-6, max_value=6)
 nonzero_ints = ints.filter(lambda n: n != 0)
 
@@ -162,10 +164,30 @@ def test_fold_descends_to_classes(m, p, t0, t1):
     assert sf_map(pm.transpose() * m2 * pm) == sf_map(pm.transpose() * m * pm)
 
 
-@settings(max_examples=60)
-@given(p=substitutions(), q=substitutions(), r=substitutions())
-def test_group_axioms(p, q, r):
+def group_axioms(p, q, r):
+    """The group laws, and the invariant that lets `then` and `inverse` skip
+    the constructor's determinant test: det P1 is multiplicative, so a
+    product or an inverse of invertible P1s is invertible."""
     assert p.then(q).then(r) == p.then(q.then(r))
     assert p.then(SfWitness.identity()) == p
     assert SfWitness.identity().then(p) == p
     assert p.then(p.inverse()) == SfWitness.identity()
+    assert p.then(q).linear.det() == p.linear.det() * q.linear.det()
+    assert p.inverse().linear.det() * p.linear.det() == 1
+
+
+@settings(max_examples=60)
+@given(p=substitutions(), q=substitutions(), r=substitutions())
+def test_group_axioms(p, q, r):
+    group_axioms(p, q, r)
+
+
+tower_witnesses = congruence_cases().map(lambda case: case[1])
+
+
+@settings(max_examples=20)
+@given(p=tower_witnesses, q=tower_witnesses, r=tower_witnesses)
+def test_group_axioms_over_towers(p, q, r):
+    """Witnesses over towers of sqrt(2), sqrt(3) and sqrt(-1), with alpha
+    other than 1."""
+    group_axioms(p, q, r)

@@ -62,6 +62,14 @@ itself, so the one lift onto a common tower (`on_one_tower`) per check with
 an entry over a tower is the one inside that `apply`; a check whose
 entries are all rational lifts nothing.
 
+The public `SfWitness` constructor tests det(P1) on every witness it
+builds; `then`, `inverse`, `scaling` and `_shift` build theirs without the
+test, since their P1 is invertible by construction.  So canonicalizing the
+tower corpus and inverting each witness takes a determinant only in canon2,
+in the constructor for canon2's P1 and for the explicit stages of
+`_stage2`, and in `Mat2.inverse`; none comes from composing, inverting,
+scaling or shifting a witness.
+
 Run as a script, with `src` on PYTHONPATH, the file prints the counts the
 bounds are pinned to, so they can be re-measured without pytest:
 
@@ -79,7 +87,7 @@ from unittest import mock
 
 import quadalg.scalar as scalar
 from quadalg.algebra import sf_from_poly
-from quadalg.matrix import coeffs_from_matrix
+from quadalg.matrix import Mat2, coeffs_from_matrix
 from quadalg.ncrewrite import NCPoly
 from quadalg.polyio import parse_poly
 from quadalg.scalar import TowerDepthError
@@ -232,6 +240,33 @@ def test_canonicalization_applies_the_witness_once():
     assert callers == Counter(verify_witness=returned)
     assert 0 < tower_checks < returned
     assert lifters == Counter(apply=tower_checks)
+
+
+def test_composition_takes_no_determinant():
+    matrices = [sf_from_poly(parse_poly(text)) for text in tower_relations()]
+    det, constructor = Mat2.det, SfWitness.__init__.__code__
+    callers = Counter()
+
+    def counted(self):
+        caller = sys._getframe(1)
+        if caller.f_code is constructor:
+            callers["SfWitness in " + caller.f_back.f_code.co_name] += 1
+        else:
+            callers[caller.f_code.co_name] += 1
+        return det(self)
+
+    with mock.patch.object(Mat2, "det", counted):
+        for m in matrices:
+            try:
+                witness = sf_canonicalize(m)[2]
+            except TowerDepthError:
+                continue
+            witness.inverse()
+    # "inverse" is Mat2.inverse, which needs the determinant it divides by
+    assert callers == Counter({
+        "canon2": 54, "SfWitness in sf_canonicalize": 54, "SfWitness in _stage2": 2,
+        "inverse": 53,
+    })
 
 
 if __name__ == "__main__":
