@@ -31,7 +31,7 @@ Mutant = namedtuple("Mutant", "name path old new tests")
 
 # the witness check's paths are pinned by their results and by their op
 # counts (a wrong choice of path still gives the right matrix); the tower
-# kernel by the decimal referee
+# kernel by the exact referee
 CHECK = ("tests/test_fastpaths.py", "tests/test_op_counts.py")
 KERNEL = ("tests/test_referee.py", "tests/test_fastpaths.py", "tests/test_scalar.py")
 # composition and inversion of witnesses, pinned by the group laws and by
@@ -70,6 +70,15 @@ MUTANTS = (
            "_neg(_mul(b, ninv, d, tower), d)", "_mul(b, ninv, d, tower)", KERNEL),
     Mutant("merge-without-sign-correction", "scalar.py",
            "t = _neg(t, depth)", "t = t", KERNEL),
+    Mutant("mul-root-slots-swapped", "scalar.py",
+           "return (_mul(b, tower[k].radicand, k, tower), a)",
+           "return (a, _mul(b, tower[k].radicand, k, tower))", KERNEL),
+    Mutant("transplant-admitted-root-on-low-half", "scalar.py",
+           "return _add(ea, _mul_root(eb, root, td, target_tower), td)",
+           "return _add(eb, _mul_root(ea, root, td, target_tower), td)", KERNEL),
+    Mutant("transplant-found-root-on-low-half", "scalar.py",
+           "return _add(ea, _mul(eb, root, td, target_tower), td)",
+           "return _add(eb, _mul(ea, root, td, target_tower), td)", KERNEL),
     Mutant("canonical-sign-flipped", "scalar.py",
            "            return sign", "            return -sign", KERNEL),
     Mutant("reduce-resumes-at-redex", "ncrewrite.py",
@@ -86,6 +95,9 @@ MUTANTS = (
            "self.scale * other.scale,", "self.scale,", GROUP),
     Mutant("canon2-orientation-test-negated", "congruence2.py",
            "if d * p / w != sigma.inverse():", "if d * p / w == sigma.inverse():",
+           ("tests/test_congruence2.py", "tests/test_sfcanon.py")),
+    Mutant("canon2-yx-test-shifted", "congruence2.py",
+           "elif (k + 1).is_zero():", "elif (k - 1).is_zero():",
            ("tests/test_congruence2.py", "tests/test_sfcanon.py")),
     Mutant("half-plane-imaginary-sign-flipped", "scalar.py",
            "if im - rad > 0:\n        return 1", "if im - rad > 0:\n        return -1", KERNEL),

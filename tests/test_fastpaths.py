@@ -1,30 +1,23 @@
 """Fast paths pinned to the generic code they replace.
 
 Scalars are drawn at tower depth 0-2 from combinations of sqrt(2), sqrt(3),
-sqrt(-1) and the nested sqrt(1 + sqrt(2)).  Two depth-0 operands must give
-what their Fractions give; a rational operand of +, -, * and / must give the
-same tower and the same element as lifting it and running the generic
-arithmetic under the public, normalising constructor; the one evaluation of
-the congruence action, `SfWitness.apply`, which lifts its entries onto one
-tower, must equal the plain 3x3 product; the witness checker must not
-depend on the canonicalizer's composition of stages at all; and an operand
-that is one of the shared constants 0, 1 and -1 must give what an equal,
-unshared value gives.
+sqrt(-1) and the nested sqrt(1 + sqrt(2)).  Depth-0 operands must give what
+their Fractions give; a rational operand, or one of the shared constants
+0, 1 and -1, must give what the generic arithmetic gives; and
+`on_one_tower` must keep the values of depth 0-3 scalars over differently
+ordered towers.
 
-Lists of depth 0-3 scalars, products of those roots taken in any order and
-so over differently ordered towers, pin `on_one_tower` to the values it was
-given; the witness checker, which lifts its entries with it, must accept
-the witness of every such orbit sample and reject a wrong one.  On rational
-entries the checker multiplies integer matrices instead: it must equal the
-plain product on random rationals, large denominators and cancelling
-entries included, and build no Mat3.  On towers whose radicands are all
-rational (2, 3, 5, -1, -3, -4, 1/2, 3/4 and 6, at depth 1-3, with merges
-that find a root inside the tower) it multiplies integer combinations of
-products of roots: it must equal the plain product there too, irrational
-alpha included, build no Mat3, and reject a rescaled or perturbed witness
-without the canonicalizer's composition.  A check over a nested radicand,
-sqrt(1 + sqrt(2)), multiplies Scalars lifted onto one tower and builds no
-Mat3 either, with alpha on another tower multiplied in after the fold.
+`SfWitness.apply`, the one evaluation of the congruence action, has one
+property body (`check_apply`) and four strategies: entries over one tower
+(and the nested root, with alpha on another tower); over differently
+ordered towers; rational entries, where the checker multiplies integer
+matrices; and towers whose radicands are all rational (2, 3, 5, -1, -3,
+-4, 1/2, 3/4 and 6), where it multiplies integer combinations of products
+of roots.  Each must equal the plain 3x3 product, and the checker, with the
+canonicalizer's composition made to raise, must accept the witness and
+reject it rescaled by 2 and by -1 and perturbed.  The integer paths build
+no Mat3, rational entries merge no tower, and both map back under the
+inverse witness.
 """
 
 import operator
@@ -32,6 +25,7 @@ import random
 from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import partial
 from unittest import mock
 
 import pytest
@@ -199,18 +193,28 @@ def test_cancellation_comes_back_at_depth_0(a):
 # products stay at depth 2 instead of merging towers up to depth 3.
 
 
+def matrix_of(entry):
+    return StdFormMatrix(Mat2(*(entry() for _ in range(4))), (entry(), entry()), entry())
+
+
+def witness_of(entry, alpha):
+    """A witness with entries drawn by entry() and scale alpha; P1
+    invertible."""
+    while True:
+        linear = Mat2(*(entry() for _ in range(4)))
+        if not linear.det().is_zero():
+            return SfWitness(linear, (entry(), entry()), alpha)
+
+
 @st.composite
 def congruence_cases(draw):
-    """(M, witness) with entries over one tower; P1 invertible."""
+    """(M, witness) with entries over one tower."""
     base = draw(bases)
-    e = [combine(base, draw(coefficients)) for _ in range(7)]
-    m = StdFormMatrix(Mat2(*e[:4]), (e[4], e[5]), e[6])
-    while True:
-        linear = Mat2(*(combine(base, draw(coefficients)) for _ in range(4)))
-        if not linear.det().is_zero():
-            break
-    translation = (combine(base, draw(coefficients)), combine(base, draw(coefficients)))
-    return m, SfWitness(linear, translation, combine(base, draw(nonzero_coefficients)))
+
+    def entry():
+        return combine(base, draw(coefficients))
+
+    return matrix_of(entry), witness_of(entry, combine(base, draw(nonzero_coefficients)))
 
 
 def mat3_fold(m, w):
@@ -223,23 +227,14 @@ def rescaled(w, factor):
     return SfWitness(w.linear, w.translation, w.scale * factor)
 
 
-NESTED = sqrt_extend(1 + ROOTS[0])
-
-
-@settings(max_examples=30)
-@given(congruence_cases())
-@example((
-    StdFormMatrix(Mat2(NESTED, 1, -1, NESTED * ROOTS[0]), (NESTED, 0), 1 - NESTED),
-    SfWitness(Mat2(1, NESTED, 0, 2), (Fraction(1, 2), NESTED), 1 + ROOTS[1]),
-))
-def test_apply_matches_mat3_fold(case):
-    """Also over the nested sqrt(1 + sqrt(2)) with alpha on another tower,
-    where alpha multiplies the folded product; a rescaled witness fails."""
-    m, w = case
-    assert w.apply(m) == mat3_fold(m, w)
-    assume(any(coeffs_from_matrix(m)))
-    with composition_refused():
-        assert not verify_witness(mat3_fold(m, w), m, rescaled(w, 2))
+def perturbed(w):
+    """w with 1 or -1 added to the top-left entry of P1, whichever stays
+    invertible."""
+    lin = w.linear
+    for delta in (1, -1):
+        candidate = Mat2(lin.a + delta, lin.b, lin.c, lin.d)
+        if not candidate.det().is_zero():
+            return SfWitness(candidate, w.translation, w.scale)
 
 
 def refuse(*args, **kwargs):
@@ -258,16 +253,53 @@ def composition_refused():
         yield
 
 
-@settings(max_examples=25)
-@given(congruence_cases())
-def test_checker_is_independent_of_composition(case):
+@contextmanager
+def counting_mat3():
+    built = Counter()
+    plain_init = Mat3.__init__
+
+    def counted_init(self, rows):
+        built["Mat3"] += 1
+        plain_init(self, rows)
+
+    with mock.patch.object(Mat3, "__init__", counted_init):
+        yield built
+
+
+def check_apply(case, mat3_free=False):
+    """The body of every `apply` property: w.apply(m) is the plain product,
+    built with no Mat3 when mat3_free; and on a nonzero m the checker,
+    without the canonicalizer's composition, accepts w and rejects it
+    rescaled by 2 and by -1 and perturbed.  Returns w.apply(m)."""
     m, w = case
-    assume(not m.hom.is_zero())
-    target = mat3_fold(m, w)
-    with composition_refused():
-        assert verify_witness(target, m, w)
-        assert not verify_witness(target, m, rescaled(w, 2))
-        assert not verify_witness(target, m, rescaled(w, -1))
+    with counting_mat3() as built:
+        got = w.apply(m)
+    assert not (mat3_free and built["Mat3"])
+    assert got == mat3_fold(m, w)
+    if any(coeffs_from_matrix(m)):
+        wrong = perturbed(w)
+        with composition_refused():
+            assert verify_witness(got, m, w)
+            assert not verify_witness(got, m, rescaled(w, 2))
+            assert not verify_witness(got, m, rescaled(w, -1))
+            if mat3_fold(m, wrong) != got:
+                assert not verify_witness(got, m, wrong)
+    return got
+
+
+NESTED = sqrt_extend(1 + ROOTS[0])
+
+
+@settings(max_examples=30)
+@given(congruence_cases())
+@example((
+    StdFormMatrix(Mat2(NESTED, 1, -1, NESTED * ROOTS[0]), (NESTED, 0), 1 - NESTED),
+    SfWitness(Mat2(1, NESTED, 0, 2), (Fraction(1, 2), NESTED), 1 + ROOTS[1]),
+))
+def test_apply_matches_mat3_fold(case):
+    """Entries over one tower, and over the nested sqrt(1 + sqrt(2)) with
+    alpha on another tower, where alpha multiplies the folded product."""
+    check_apply(case)
 
 
 def test_checker_accepts_canonicalization_witnesses_without_composition():
@@ -331,69 +363,49 @@ def test_on_one_tower_keeps_each_value(values):
         assert lifted is values
 
 
-@st.composite
-def mixed_witness_cases(draw):
-    """(M, witness): each entry is a + b s for small rationals a, b and s
-    one of g, h, g h and h g for two generators g, h, so entries sit on the
-    towers of g and h in both orders; P1 invertible, alpha nonzero."""
-    g, h = draw(st.lists(st.sampled_from(GENERATORS), min_size=2, max_size=2,
-                         unique_by=id))
-    pool = (g, h, g * h, h * g)
+def radical_case(draw, pool, coefficient):
+    """(M, witness): each entry is a + b s for a, b drawn from coefficient
+    and s from pool; alpha has the same shape and is nonzero."""
 
     def entry():
-        return draw(small) + draw(small) * draw(st.sampled_from(pool))
+        return draw(coefficient) + draw(coefficient) * draw(st.sampled_from(pool))
 
-    m = StdFormMatrix(Mat2(*(entry() for _ in range(4))), (entry(), entry()), entry())
-    while True:
-        linear = Mat2(*(entry() for _ in range(4)))
-        if not linear.det().is_zero():
-            break
     alpha = entry()
     assume(alpha)
-    return m, SfWitness(linear, (entry(), entry()), alpha)
+    return matrix_of(entry), witness_of(entry, alpha)
 
 
-def perturbed(w):
-    """w with 1 or -1 added to the top-left entry of P1, whichever stays
-    invertible."""
-    lin = w.linear
-    for delta in (1, -1):
-        candidate = Mat2(lin.a + delta, lin.b, lin.c, lin.d)
-        if not candidate.det().is_zero():
-            return SfWitness(candidate, w.translation, w.scale)
+@st.composite
+def mixed_witness_cases(draw):
+    """Entries a + b s for small rationals a, b and s one of g, h, g h and
+    h g for two generators g, h, so entries sit on the towers of g and h in
+    both orders."""
+    g, h = draw(st.lists(st.sampled_from(GENERATORS), min_size=2, max_size=2,
+                         unique_by=id))
+    return radical_case(draw, (g, h, g * h, h * g), small)
 
 
 @settings(max_examples=15)
 @given(mixed_witness_cases())
 def test_checker_accepts_mixed_tower_orbit_witnesses(case):
-    m, w = case
-    assume(not m.hom.is_zero())
-    target = mat3_fold(m, w)
-    wrong = perturbed(w)
-    assume(mat3_fold(m, wrong) != target)
-    with composition_refused():
-        assert verify_witness(target, m, w)
-        assert not verify_witness(target, m, rescaled(w, 2))
-        assert not verify_witness(target, m, wrong)
+    check_apply(case)
 
 
 wide = st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 10**6))
 rational_entries = st.one_of(st.sampled_from((0, 1, -1)), small, wide)
 
 
+def refuse_merge(*args):
+    raise AssertionError("a check on rational entries merged towers")
+
+
 @st.composite
 def rational_cases(draw):
     """(M, witness) with every entry rational: 0, 1, -1, small, or with
     numerator and denominator up to 10**6; alpha of either sign, whole or
-    fractional.  P1 invertible."""
-    e = [draw(rational_entries) for _ in range(7)]
-    m = StdFormMatrix(Mat2(*e[:4]), (e[4], e[5]), e[6])
-    while True:
-        linear = Mat2(*(draw(rational_entries) for _ in range(4)))
-        if not linear.det().is_zero():
-            break
-    translation = (draw(rational_entries), draw(rational_entries))
-    return m, SfWitness(linear, translation, draw(rational_entries.filter(bool)))
+    fractional."""
+    entry = partial(draw, rational_entries)
+    return matrix_of(entry), witness_of(entry, draw(rational_entries.filter(bool)))
 
 
 @settings(max_examples=150)
@@ -405,55 +417,15 @@ def rational_cases(draw):
               (Fraction(1, 7), Fraction(-2, 999_999)), Fraction(-3, 7)),
 ))
 def test_rational_apply_matches_mat3_fold(case):
-    """The integer product equals the plain product, and the witness back
-    (its inverse) cancels the result to m's entries, zeros included."""
+    """The integer product builds no Mat3, merges no tower and gives
+    Fractions, and the witness back (its inverse) cancels the result to m's
+    entries, zeros included."""
     m, w = case
-    got = w.apply(m)
-    assert got == mat3_fold(m, w)
+    with mock.patch.object(scalar, "_merge_towers", refuse_merge):
+        got = check_apply(case, mat3_free=True)
     assert all(type(x.as_fraction()) is Fraction for x in coeffs_from_matrix(got))
     back = w.inverse()
     assert back.apply(got) == m == mat3_fold(got, back)
-    assume(not m.hom.is_zero())
-    wrong = perturbed(w)
-    assume(mat3_fold(m, wrong) != got)
-    with composition_refused():
-        assert verify_witness(got, m, w)
-        assert not verify_witness(got, m, rescaled(w, 2))
-        assert not verify_witness(got, m, rescaled(w, -1))
-        assert not verify_witness(got, m, wrong)
-
-
-def refuse_merge(*args):
-    raise AssertionError("a check on rational entries merged towers")
-
-
-@contextmanager
-def counting_mat3():
-    built = Counter()
-    plain_init = Mat3.__init__
-
-    def counted_init(self, rows):
-        built["Mat3"] += 1
-        plain_init(self, rows)
-
-    with mock.patch.object(Mat3, "__init__", counted_init):
-        yield built
-
-
-def test_rational_check_does_no_extra_work():
-    """On rational entries the check is an integer product: it builds no
-    Mat3 and merges no tower, and it still rejects a wrong witness."""
-    rng = random.Random(5)
-    for tag in ("QWEYL", "VFORM", "X2_MINUS1"):
-        m = canonical_matrix(CanonicalClass(tag, 3 if tag == "QWEYL" else None))
-        sample, w = orbit_sample_with_witness(m, rng)
-        with counting_mat3() as built, mock.patch.object(
-            scalar, "_merge_towers", refuse_merge
-        ):
-            assert verify_witness(sample, m, w)
-            assert not verify_witness(sample, m, rescaled(w, 2))
-            assert not verify_witness(sample, m, perturbed(w))
-        assert built["Mat3"] == 0
 
 
 # Towers whose radicands are all rational.  The check reads their entries
@@ -467,27 +439,16 @@ RATIONAL_RADICANDS = (2, 3, 5, -1, -3, -4, Fraction(1, 2), Fraction(3, 4), 6)
 
 @st.composite
 def multiquadratic_cases(draw):
-    """(M, witness): each entry is a + b s for a, b rational (0, 1, -1, small,
-    or with numerator and denominator up to 10**6) and s the root of one of
-    one to three drawn radicands or a product of two of them in either
-    order, so entries sit on differently ordered towers; alpha has the same
-    shape, so it is irrational when b is not 0.  P1 invertible."""
+    """Entries a + b s for a, b rational (0, 1, -1, small, or with numerator
+    and denominator up to 10**6) and s the root of one of one to three
+    drawn radicands or a product of two of them in either order, so entries
+    sit on differently ordered towers; alpha is irrational when its b is
+    not 0."""
     radicands = draw(st.lists(st.sampled_from(RATIONAL_RADICANDS), min_size=1,
                               max_size=3, unique=True))
     roots = [sqrt_extend(r) for r in radicands]
     pool = roots + [g * h for g in roots for h in roots if g is not h]
-
-    def entry():
-        return draw(rational_entries) + draw(rational_entries) * draw(st.sampled_from(pool))
-
-    m = StdFormMatrix(Mat2(*(entry() for _ in range(4))), (entry(), entry()), entry())
-    while True:
-        linear = Mat2(*(entry() for _ in range(4)))
-        if not linear.det().is_zero():
-            break
-    alpha = entry()
-    assume(alpha)
-    return m, SfWitness(linear, (entry(), entry()), alpha)
+    return radical_case(draw, pool, rational_entries)
 
 
 R2, R3, R6 = sqrt_extend(2), sqrt_extend(3), sqrt_extend(6)
@@ -500,25 +461,14 @@ R2, R3, R6 = sqrt_extend(2), sqrt_extend(3), sqrt_extend(6)
     SfWitness(Mat2(R2, R3, Fraction(1, 999_983), 1), (R6 / 7, Fraction(-2, 999_999)), 1 + R3),
 ))
 def test_multiquadratic_apply_matches_mat3_fold(case):
-    """The integer product over the monomials equals the plain product and
-    builds no Mat3; the witness back (its inverse) cancels the result to
-    m's entries, zeros included; and the check rejects wrong witnesses."""
+    """The integer product over the monomials builds no Mat3, and the
+    witness back (its inverse) cancels the result to m's entries, zeros
+    included."""
     m, w = case
     entries = (*w.linear.entries(), *w.translation, w.scale, *coeffs_from_matrix(m))
     assume(any(x.tower_depth for x in entries))
-    with counting_mat3() as built:
-        got = w.apply(m)
-    assert built["Mat3"] == 0
-    assert got == mat3_fold(m, w)
+    got = check_apply(case, mat3_free=True)
     assert w.inverse().apply(got) == m
-    assume(any(coeffs_from_matrix(m)))
-    wrong = perturbed(w)
-    assume(mat3_fold(m, wrong) != got)
-    with composition_refused():
-        assert verify_witness(got, m, w)
-        assert not verify_witness(got, m, rescaled(w, 2))
-        assert not verify_witness(got, m, rescaled(w, -1))
-        assert not verify_witness(got, m, wrong)
 
 
 def test_every_tower_check_lifts_once_and_builds_no_mat3():

@@ -19,10 +19,12 @@ stages or checks the block twice makes the count pass the bound.  It took
 Scalars, 2,210 once that check became a product of integer matrices over
 cleared denominators whose seven results give 0, 1 and -1 as the shared
 constants (the orbit samples, which `SfWitness.apply` computes, gain them
-too), and 1,771 once the check of a witness whose towers have only
+too), 1,771 once the check of a witness whose towers have only
 rational radicands (the few with one square root) became an integer
-product too; a change that sends such a check back through Scalar
-products passes the bound.
+product too, and 1,617 once `then`, `inverse`, `scaling` and `_shift`
+built their witnesses without the public constructor's determinant test;
+a change that sends such a check back through Scalar products, or takes
+those determinants again, passes the bound.
 
 The tower corpus is the 54 relations of the `canon` cases in
 `data/cli_golden_towers.json`, whose coefficients mix sqrt(2), sqrt(3) and
@@ -34,20 +36,23 @@ matrix (139 calls of a closed-form congruence), 187 and 134 while canon2
 checked its block witness too, 165 and 133 while a check over towers with
 only rational radicands lifted the 18 entries of the embedded matrices and
 merged alpha's tower into each of the seven results (one check did so),
-and 158 and 131 once it lifts the 14 entries of P, n and alpha together;
-a change that brings any of these back passes the bounds.  The same
+158 and 131 once it lifts the 14 entries of P, n and alpha together, and
+149 and 127 once composed, inverted, scaled and shifted witnesses skipped
+the determinant test; a change that brings any of these back passes the
+bounds.  The same
 canonicalizations took 224,648 of the counted Fraction operations while
 the leaf products of the tower recursion multiplied zero leaves too,
 147,248 once a zero leaf became its own product, 138,639 once canon2
 stopped checking its block, 124,507 once a merge placed values under the
 roots it admits instead of multiplying by them, 115,131 once a rational
 radicand multiplied through the general product, which skips zero
-leaves, instead of scaling every slot, and 111,514 once the check of a
+leaves, instead of scaling every slot, 111,514 once the check of a
 witness whose towers have only rational radicands multiplied integer
-combinations of products of roots instead of Scalars; a change that
+combinations of products of roots instead of Scalars, and 100,015 once
+composed witnesses skipped the determinant test; a change that
 multiplies zero leaves again, multiplies by an admitted root again,
-scales by a rational radicand again or sends such a check back through
-Scalar products passes that bound.
+scales by a rational radicand again, sends such a check back through
+Scalar products or takes those determinants again passes that bound.
 
 Parsing the same 54 relations built 579 NCPoly objects while `parse_poly`
 made a polynomial of each term and of each partial sum, and 54 once it
@@ -104,9 +109,9 @@ ARITHMETIC = (
     "__add__", "__radd__", "__sub__", "__rsub__",
     "__mul__", "__rmul__", "__truediv__", "__rtruediv__",
 )
-BOUND = 1771
-TOWER_FRACTION_BOUND = 111_514
-TOWER_BOUNDS = {"_merge_towers": 158, "_root_candidate": 131}
+BOUND = 1617
+TOWER_FRACTION_BOUND = 100_015
+TOWER_BOUNDS = {"_merge_towers": 149, "_root_candidate": 127}
 GOLDEN_TOWERS = Path(__file__).resolve().parent / "data" / "cli_golden_towers.json"
 
 
