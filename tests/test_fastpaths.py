@@ -17,7 +17,9 @@ of roots.  Each must equal the plain 3x3 product, and the checker, with the
 canonicalizer's composition made to raise, must accept the witness and
 reject it rescaled by 2 and by -1 and perturbed.  The integer paths build
 no Mat3, rational entries merge no tower, and both map back under the
-inverse witness.
+inverse witness.  The checker must also give the same verdicts with the
+composition refused as with it, and on orbit samples of the rational
+canonical matrices the whole check builds no Mat3 and merges no tower.
 """
 
 import operator
@@ -302,6 +304,22 @@ def test_apply_matches_mat3_fold(case):
     check_apply(case)
 
 
+@settings(max_examples=25)
+@given(congruence_cases())
+def test_checker_is_independent_of_composition(case):
+    """The checker gives the same verdicts with the canonicalizer's
+    composition refused as with it: it accepts w and rejects w rescaled by 2
+    and by -1."""
+    m, w = case
+    assume(not m.hom.is_zero())
+    target = mat3_fold(m, w)
+    candidates = (w, rescaled(w, 2), rescaled(w, -1))
+    plain = [verify_witness(target, m, c) for c in candidates]
+    with composition_refused():
+        refused = [verify_witness(target, m, c) for c in candidates]
+    assert refused == plain == [True, False, False]
+
+
 def test_checker_accepts_canonicalization_witnesses_without_composition():
     rng = random.Random(4)
     cases = []
@@ -426,6 +444,23 @@ def test_rational_apply_matches_mat3_fold(case):
     assert all(type(x.as_fraction()) is Fraction for x in coeffs_from_matrix(got))
     back = w.inverse()
     assert back.apply(got) == m == mat3_fold(got, back)
+
+
+def test_rational_check_does_no_extra_work():
+    """On orbit samples of the rational canonical matrices the whole check,
+    not only `apply`, is an integer product: it builds no Mat3 and merges no
+    tower, and it still rejects a wrong witness."""
+    rng = random.Random(5)
+    for tag in ("QWEYL", "VFORM", "X2_MINUS1"):
+        m = canonical_matrix(CanonicalClass(tag, 3 if tag == "QWEYL" else None))
+        sample, w = orbit_sample_with_witness(m, rng)
+        with counting_mat3() as built, mock.patch.object(
+            scalar, "_merge_towers", refuse_merge
+        ):
+            assert verify_witness(sample, m, w)
+            assert not verify_witness(sample, m, rescaled(w, 2))
+            assert not verify_witness(sample, m, perturbed(w))
+        assert built["Mat3"] == 0
 
 
 # Towers whose radicands are all rational.  The check reads their entries
