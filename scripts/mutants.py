@@ -8,11 +8,20 @@ replace (it must occur there exactly once), the text to put in its place,
 and the tests to run (files or pytest node ids).  For each entry the script
 copies src/, tests/ and pyproject.toml to a temporary directory, applies
 that one edit, and runs `python -m pytest -q -x` on the selection there,
-with PYTHONPATH set to the copy's src.  It prints `killed` when the tests
-fail, `survived` when they pass and `error` when pytest ends for another
-reason (collection error, no tests), then the counts.  A survivor is a gap in the tests: report it, do
-not delete its entry.  The repository is not changed.  Exit status 0 when
-every mutant is killed, 1 otherwise.
+with PYTHONPATH set to the copy's src and the hypothesis profile `no-shrink`
+of tests/conftest.py.  It prints `killed` when the tests fail, `survived`
+when they pass, `timeout` when they run longer than `TIMEOUT_S` seconds
+and `error` when pytest ends for another reason (collection error, no
+tests), then the counts.  A survivor or a timeout is a gap in the tests:
+report it, do not delete its entry.  The repository is not changed.  Exit
+status 0 when every mutant is killed, 1 otherwise.
+
+The `no-shrink` profile is the tier-1 `default` profile without the shrink
+phase.  Shrinking starts only after an example has failed, and it only looks
+for a smaller example that fails too; the test fails whatever it finds.  The
+examples drawn before the first failure do not depend on the phase, so a
+mutant is killed or survives under both profiles alike, and the run is
+spared the minutes that shrinking a failure over a deep tower can take.
 """
 
 from __future__ import annotations
@@ -29,6 +38,11 @@ ROOT = Path(__file__).resolve().parents[1]
 
 Mutant = namedtuple("Mutant", "name path old new tests")
 
+# the hypothesis profile the selections run under, and the longest a
+# selection may run before its mutant counts as not killed
+PROFILE = "no-shrink"
+TIMEOUT_S = 300
+
 # the witness check's paths are pinned by their results and by their op
 # counts (a wrong choice of path still gives the right matrix); the tower
 # kernel by the exact referee
@@ -37,6 +51,10 @@ KERNEL = ("tests/test_referee.py", "tests/test_fastpaths.py", "tests/test_scalar
 # composition and inversion of witnesses, pinned by the group laws and by
 # the canonicalizer's own check of the witnesses it composes
 GROUP = ("tests/test_matrix.py", "tests/test_sfcanon.py")
+# canon2's branch choices, pinned by its labels and by the classes they lead to
+CANON2 = ("tests/test_congruence2.py", "tests/test_sfcanon.py")
+# sf_compare's checks, pinned by a canonicalization made wrong on one side
+COMPARE = ("tests/test_sfcanon.py::TestOneCheck::test_every_comparison_rejects_a_bad_witness",)
 
 MUTANTS = (
     Mutant("quotient-int-int-true-division", "polyio.py",
@@ -94,13 +112,23 @@ MUTANTS = (
     Mutant("then-keeps-own-scale", "sfcanon.py",
            "self.scale * other.scale,", "self.scale,", GROUP),
     Mutant("canon2-orientation-test-negated", "congruence2.py",
-           "if d * p / w != sigma.inverse():", "if d * p / w == sigma.inverse():",
-           ("tests/test_congruence2.py", "tests/test_sfcanon.py")),
+           "if d * p / w != sigma.inverse():", "if d * p / w == sigma.inverse():", CANON2),
     Mutant("canon2-yx-test-shifted", "congruence2.py",
-           "elif (k + 1).is_zero():", "elif (k - 1).is_zero():",
-           ("tests/test_congruence2.py", "tests/test_sfcanon.py")),
+           "elif (k + 1).is_zero():", "elif (k - 1).is_zero():", CANON2),
     Mutant("half-plane-imaginary-sign-flipped", "scalar.py",
            "if im - rad > 0:\n        return 1", "if im - rad > 0:\n        return -1", KERNEL),
+    Mutant("canon2-pfaffian-test-negated", "congruence2.py",
+           "if p.is_zero():\n        dets", "if not p.is_zero():\n        dets", CANON2),
+    Mutant("canon2-symmetric-det-test-negated", "congruence2.py",
+           "if dets.is_zero():", "if not dets.is_zero():", CANON2),
+    Mutant("canon2-symmetric-test-negated", "congruence2.py",
+           "elif s.is_zero():", "elif not s.is_zero():", CANON2),
+    Mutant("canon2-jordan-test-negated", "congruence2.py",
+           "if k.is_zero():", "if not k.is_zero():", CANON2),
+    Mutant("compare-skips-composed-check", "sfcanon.py",
+           "if not verify_witness(m, n, witness):", "if False:", COMPARE),
+    Mutant("compare-skips-side-checks", "sfcanon.py",
+           "        _certified(m, *side_m)\n        _certified(n, *side_n)\n", "", COMPARE),
 )
 
 
@@ -109,7 +137,8 @@ def source(mutant: Mutant, root: Path = ROOT) -> Path:
 
 
 def run(mutant: Mutant) -> str:
-    """killed, survived or error: the selection's verdict on one mutant."""
+    """killed, survived, timeout or error: the selection's verdict on one
+    mutant."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         copy = Path(tmp)
         for tree in ("src", "tests"):
@@ -122,15 +151,18 @@ def run(mutant: Mutant) -> str:
             return "error"
         path.write_text(text.replace(mutant.old, mutant.new))
         env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
-        proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-             *mutant.tests],
-            cwd=copy, env=env, capture_output=True, text=True)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+                 f"--hypothesis-profile={PROFILE}", *mutant.tests],
+                cwd=copy, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            return "timeout"
     return {0: "survived", 1: "killed"}.get(proc.returncode, "error")
 
 
 def main() -> int:
-    counts = {"killed": 0, "survived": 0, "error": 0}
+    counts = {"killed": 0, "survived": 0, "timeout": 0, "error": 0}
     for mutant in MUTANTS:
         verdict = run(mutant)
         counts[verdict] += 1

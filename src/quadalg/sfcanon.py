@@ -17,6 +17,14 @@ against the input, runs before the witness is returned.  That check is the
 only place the canonicalizer evaluates the action (`SfWitness.apply`, one
 3x3 product and one fold, over integers unless a radicand is nested);
 composing the stages (`SfWitness.then`) shares no code with it.
+
+Each answer is certified by one check per claim.  A class, from
+`sf_canonicalize`, is certified by `verify_witness(canonical, m, witness)`.
+A congruent pair, from `sf_compare`, is certified by the one composed
+witness from n to m, `verify_witness(m, n, w_n.then(w_m.inverse()))`; the
+two classes it reports come from the canonicalizer and are not checked one
+by one.  A non-congruent pair rests on its two distinct classes, so each
+side's canonical check runs, two evaluations of the action in all.
 """
 
 from __future__ import annotations
@@ -318,6 +326,35 @@ def _stage2(
     return _constant(stages, n - u * v / (q - 1), "QPLANE", "QWEYL", q)
 
 
+def _canonicalize(
+    m: StdFormMatrix,
+) -> tuple[CanonicalClass, StdFormMatrix, SfWitness]:
+    """Class, canonical matrix, and witness meant to satisfy
+    canonical = witness.apply(m), not yet checked.  The stages are composed
+    with `then` and never applied."""
+    if m.hom.is_zero():
+        raise DegreeError("matrix has no quadratic part")
+
+    label2, p, alpha2 = canon2(m.hom)
+    witness = SfWitness(p, scale=alpha2)
+    # the stages need only the linear column alpha2 * P1^T l and the constant
+    # alpha2 * n; the block alpha2 * P1^T H P1 is checked with the rest later
+    (u, v), s = m.lin, witness.scale
+    lin = ((p.a * u + p.c * v) * s, (p.b * u + p.d * v) * s)
+    stages, cls = _stage2(label2, lin, m.const * s)
+    for stage in stages:
+        witness = witness.then(stage)
+    return cls, canonical_matrix(cls), witness
+
+
+def _certified(m: StdFormMatrix, cls, canonical, witness):
+    """The canonicalization (cls, canonical, witness) of m once
+    `verify_witness(canonical, m, witness)` holds; AssertionError otherwise."""
+    if not verify_witness(canonical, m, witness):
+        raise AssertionError(f"canonicalization produced an invalid witness for {m!r}")
+    return cls, canonical, witness
+
+
 def sf_canonicalize(
     m: StdFormMatrix,
 ) -> tuple[CanonicalClass, StdFormMatrix, SfWitness]:
@@ -326,35 +363,29 @@ def sf_canonicalize(
     The stages are composed with `then` and never applied; the one check is
     `verify_witness(canonical, m, witness)`, which raises AssertionError
     when it fails."""
-    if m.hom.is_zero():
-        raise DegreeError("matrix has no quadratic part")
-
-    label2, p, alpha2 = canon2(m.hom)
-    witness = SfWitness(p, scale=alpha2)
-    # the stages need only the linear column alpha2 * P1^T l and the constant
-    # alpha2 * n; the block alpha2 * P1^T H P1 is checked with the rest below
-    (u, v), s = m.lin, witness.scale
-    lin = ((p.a * u + p.c * v) * s, (p.b * u + p.d * v) * s)
-    stages, cls = _stage2(label2, lin, m.const * s)
-    for stage in stages:
-        witness = witness.then(stage)
-
-    canonical = canonical_matrix(cls)
-    if not verify_witness(canonical, m, witness):
-        raise AssertionError(f"canonicalization produced an invalid witness for {m!r}")
-    return cls, canonical, witness
+    return _certified(m, *_canonicalize(m))
 
 
 def sf_compare(
     m: StdFormMatrix, n: StdFormMatrix
 ) -> tuple[CanonicalClass, CanonicalClass, SfWitness | None]:
     """Canonicalize each side once: both classes, and a verified witness from
-    n to m when they are equivalent (None otherwise)."""
-    cls_m, _, w_m = sf_canonicalize(m)
-    cls_n, _, w_n = sf_canonicalize(n)
+    n to m when they are equivalent (None otherwise).
+
+    Each answer is certified by the fewest evaluations of the action.  A
+    congruent answer is proved by the one witness it returns, so only the
+    composed `w_n.then(w_m.inverse())` is checked against m and n; the two
+    classes it returns come from the canonicalizer and are not checked one by
+    one.  A non-congruent answer rests on the two classes, so each side's
+    witness is checked against its canonical matrix, as `sf_canonicalize`
+    does.  Either way a wrong witness raises AssertionError."""
+    side_m, side_n = _canonicalize(m), _canonicalize(n)
+    cls_m, cls_n = side_m[0], side_n[0]
     if not reciprocal_equivalent(cls_m, cls_n):
+        _certified(m, *side_m)
+        _certified(n, *side_n)
         return cls_m, cls_n, None
-    witness = w_n.then(w_m.inverse())
+    witness = side_n[2].then(side_m[2].inverse())
     if not verify_witness(m, n, witness):
         raise AssertionError("composed witness failed verification")
     return cls_m, cls_n, witness

@@ -1,4 +1,4 @@
-from hypothesis import HealthCheck, settings
+from hypothesis import HealthCheck, Phase, settings
 
 settings.register_profile(
     "default",
@@ -9,5 +9,12 @@ settings.register_profile(
         HealthCheck.filter_too_much,
         HealthCheck.too_slow,
     ],
+)
+# the default profile without shrinking, for scripts/mutants.py: a failure
+# ends the test at the first failing example
+settings.register_profile(
+    "no-shrink",
+    parent=settings.get_profile("default"),
+    phases=[phase for phase in Phase if phase is not Phase.shrink],
 )
 settings.load_profile("default")

@@ -269,7 +269,7 @@ def test_composition_takes_no_determinant():
             witness.inverse()
     # "inverse" is Mat2.inverse, which needs the determinant it divides by
     assert callers == Counter({
-        "canon2": 54, "SfWitness in sf_canonicalize": 54, "SfWitness in _stage2": 2,
+        "canon2": 54, "SfWitness in _canonicalize": 54, "SfWitness in _stage2": 2,
         "inverse": 53,
     })
 

@@ -1,13 +1,14 @@
 """Text grammar, document round trips, report assembly, shipped fixtures."""
 
 import os
-import sys
+from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import quadalg.sfcanon as sfcanon
 from quadalg.matrix import Mat2, StdFormMatrix, matrix_from_coeffs
 from quadalg.ncrewrite import NCPoly, locally_confluent, reduce as nc_reduce
 from quadalg.polyio import (
@@ -31,7 +32,7 @@ from quadalg.polyio import (
     witness_from_document,
 )
 from quadalg.scalar import MINUS_ONE, Scalar, as_scalar, format_scalar, sqrt_extend
-from quadalg.sfcanon import SfWitness, sf_canonicalize, verify_witness
+from quadalg.sfcanon import SfWitness, verify_witness
 from quadalg.algebra import ENVV_BRIDGE, sf_from_poly
 
 X = NCPoly.variable("x")
@@ -548,33 +549,34 @@ class TestReports:
         assert "witness" not in doc
 
     @pytest.mark.parametrize(
-        "f, g",
+        "f, g, applies",
         [
-            ("xy - 2yx - 1", "2xy - yx - 1"),
-            ("x^2", "yx"),
-            ("yx - xy + y", "yx - xy + y^2 + x"),
+            ("xy - 2yx - 1", "2xy - yx - 1", 1),
+            ("x^2", "yx", 2),
+            ("yx - xy + y", "yx - xy + y^2 + x", 2),
         ],
         ids=["congruent", "not-isomorphic", "bridge"],
     )
-    def test_congruence_report_canonicalizes_each_side_once(self, monkeypatch, f, g):
+    def test_congruence_report_canonicalizes_each_side_once(self, monkeypatch, f, g, applies):
+        """Two canonicalizations per report.  A congruent answer checks only
+        its composed witness, one evaluation of the action; any other answer
+        checks each side's canonical witness, two."""
         f, g = parse_poly(f), parse_poly(g)
-        calls = []
+        canonicalize, apply = sfcanon._canonicalize, SfWitness.apply
+        calls = Counter()
 
-        def counted(m):
-            calls.append(m)
-            return sf_canonicalize(m)
+        def counted_canonicalize(m):
+            calls["_canonicalize"] += 1
+            return canonicalize(m)
 
-        bound = [
-            mod
-            for name, mod in sorted(sys.modules.items())
-            if name.split(".")[0] == "quadalg"
-            and getattr(mod, "sf_canonicalize", None) is sf_canonicalize
-        ]
-        assert bound
-        for mod in bound:
-            monkeypatch.setattr(mod, "sf_canonicalize", counted)
+        def counted_apply(self, n):
+            calls["apply"] += 1
+            return apply(self, n)
+
+        monkeypatch.setattr(sfcanon, "_canonicalize", counted_canonicalize)
+        monkeypatch.setattr(SfWitness, "apply", counted_apply)
         congruence_report(f, g)
-        assert len(calls) == 2
+        assert calls == Counter(_canonicalize=2, apply=applies)
 
     def test_homogenize_report(self):
         doc = homogenize_report(parse_poly("yx - xy + y"))

@@ -11,7 +11,7 @@ import quadalg.sfcanon as sfcanon
 from quadalg.algebra import sf_from_poly
 from quadalg.congruence2 import canon2, reciprocal_equivalent
 from quadalg.matrix import DegreeError, Mat2, StdFormMatrix, matrix_from_coeffs
-from quadalg.polyio import parse_poly
+from quadalg.polyio import congruence_report, parse_poly
 from quadalg.scalar import Scalar, as_scalar, sqrt_extend
 from quadalg.sfcanon import (
     CanonicalClass,
@@ -147,6 +147,37 @@ class TestOneCheck:
         with mock.patch.object(sfcanon, target, bad):
             with pytest.raises(AssertionError, match="invalid witness"):
                 sf_canonicalize(m)
+
+    # (f, g, the check that must catch a wrong witness on either side)
+    PAIRS = {
+        "congruent": ("xy - 2yx - 1", "2xy - yx - 1", "composed witness"),
+        "not-isomorphic": ("x^2", "yx", "invalid witness"),
+        "bridge": ("yx - xy + y", "yx - xy + y^2 + x", "invalid witness"),
+    }
+
+    @pytest.mark.parametrize("side", [0, 1], ids=["f", "g"])
+    @pytest.mark.parametrize("pair", sorted(PAIRS))
+    def test_every_comparison_rejects_a_bad_witness(self, monkeypatch, pair, side):
+        """sf_compare checks a congruent pair by its composed witness alone
+        and any other pair by each side's canonical witness: either way a
+        canonicalization whose alpha is doubled on one side must raise, from
+        sf_compare and from congruence_report."""
+        f, g, message = self.PAIRS[pair]
+        f, g = parse_poly(f), parse_poly(g)
+        bad_side = (sf_from_poly(f), sf_from_poly(g))[side]
+        canonicalize = sfcanon._canonicalize
+
+        def one_side_wrong(m):
+            cls, canonical, w = canonicalize(m)
+            if m == bad_side:
+                w = SfWitness(w.linear, w.translation, 2 * w.scale)
+            return cls, canonical, w
+
+        monkeypatch.setattr(sfcanon, "_canonicalize", one_side_wrong)
+        with pytest.raises(AssertionError, match=message):
+            sfcanon.sf_compare(sf_from_poly(f), sf_from_poly(g))
+        with pytest.raises(AssertionError, match=message):
+            congruence_report(f, g)
 
 
 class TestScaleNormalize:
